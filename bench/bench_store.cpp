@@ -11,14 +11,16 @@
 //   BM_BatchAssess/N     the whole change log, N shards — the elements/s
 //                        headline (items_per_second = records assessed/s)
 //
-// The gated ratio for tools/check_bench_regression.py is
+// The gated ratios for tools/check_bench_regression.py are
 //
 //     BM_BatchAssess/1 / BM_AssessOne
+//     BM_MappedOpen    / BM_AssessOne
 //
-// which is machine-independent (both sides scale with host speed) and
-// catches per-element scaling regressions: anything super-linear in the
-// batch driver — a full-topology scan per record, a cache that stops
-// hitting — moves the ratio, while a uniformly slower host does not.
+// which are machine-independent (both sides scale with host speed). The
+// first catches per-element scaling regressions: anything super-linear in
+// the batch driver — a full-topology scan per record, a cache that stops
+// hitting — moves the ratio, while a uniformly slower host does not. The
+// second holds the open's checksum pass to memory speed.
 // Results go to BENCH_store.json with an embedded manifest.
 #include <benchmark/benchmark.h>
 
@@ -129,9 +131,9 @@ const io::SeriesStore& heap_store() {
   return s;
 }
 
-// Full open + validation per iteration: header checks, the FNV pass over
-// every payload byte, record-index build. Warm after the first iteration,
-// so this times validation throughput, not disk.
+// Full open + validation per iteration: header checks, one pass that
+// checksums every payload byte and builds the record index. Warm after the
+// first iteration, so this times validation throughput, not disk.
 void BM_MappedOpen(benchmark::State& state) {
   corpus();  // ensure the snapshot exists
   const std::string path = corpus_path("series.litmus-snap");

@@ -14,7 +14,9 @@
 #include "io/csv.h"
 #include "io/series_accum.h"
 #include "io/snapshot.h"
-#include "obs/manifest.h"
+#include "obs/content_hash.h"
+#include "obs/events.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/pool.h"
@@ -387,6 +389,17 @@ void record_ingest_metrics(const IngestReport& rep) {
   }
 }
 
+void warn_stale_snapshot(const std::string& path, const std::string& why) {
+  std::fprintf(stderr, "note: stale snapshot %s (%s); re-parsing\n",
+               path.c_str(), why.c_str());
+  if (auto* ev = obs::events())
+    ev->emit(obs::EventType::kWarning, [&](obs::JsonWriter& w) {
+      w.member("what", "stale_snapshot")
+          .member("path", std::string_view(path))
+          .member("reason", std::string_view(why));
+    });
+}
+
 }  // namespace detail
 
 std::size_t load_series_csv_fast(std::string_view data, SeriesStore& store,
@@ -458,7 +471,7 @@ IngestReport ingest_series_file(const std::string& path, SeriesStore& store,
     // fingerprint comparison decides; a source edit therefore lands on
     // the fingerprint check even if size and mtime were forged back.
     rep.snapshot_path = snapshot_cache_path(
-        opts.snapshot_dir, obs::fnv1a64(path.data(), path.size()));
+        opts.snapshot_dir, obs::content_hash64(path.data(), path.size()));
     const auto meta = read_snapshot_meta(rep.snapshot_path);
     if (meta) {
       const char* verify_env = std::getenv("LITMUS_SNAPSHOT_VERIFY");
@@ -467,9 +480,9 @@ IngestReport ingest_series_file(const std::string& path, SeriesStore& store,
                            mtime_ns != 0 && meta->source_mtime_ns != 0 &&
                            meta->source_bytes == rep.bytes &&
                            meta->source_mtime_ns == mtime_ns;
-      rep.fingerprint = trusted
-                            ? meta->fingerprint
-                            : obs::fnv1a64(buf.view().data(), buf.size());
+      rep.fingerprint =
+          trusted ? meta->fingerprint
+                  : obs::content_hash64(buf.view().data(), buf.size());
       // A trusted fingerprint came from the snapshot header; it is only
       // safe to keep if that snapshot actually validated end to end.
       have_fingerprint = !trusted;
@@ -492,13 +505,12 @@ IngestReport ingest_series_file(const std::string& path, SeriesStore& store,
         return rep;
       }
       if (got == SnapshotLoad::kStale)
-        std::fprintf(stderr, "note: stale snapshot %s (%s); re-parsing\n",
-                     rep.snapshot_path.c_str(), why.c_str());
+        detail::warn_stale_snapshot(rep.snapshot_path, why);
     }
   }
 
   if (!have_fingerprint)
-    rep.fingerprint = obs::fnv1a64(buf.view().data(), buf.size());
+    rep.fingerprint = obs::content_hash64(buf.view().data(), buf.size());
   rep.rows = load_series_csv_fast(buf.view(), store, opts, &rep.chunks);
   rep.series = store.size();
   if (!opts.snapshot_dir.empty()) {

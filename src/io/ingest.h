@@ -15,17 +15,19 @@
 //     throws, with 64-bit line numbers for multi-GiB exports.
 //
 //  2. Snapshot cache — a versioned binary columnar snapshot
-//     (".litmus-snap", io/snapshot.h) keyed by the FNV-1a hash of the
-//     source *path*, recording the FNV-1a fingerprint of the source
-//     *bytes* plus the source's (size, mtime). ingest_series_file()
-//     consults the cache directory first: while the source's stat matches
-//     what the snapshot recorded, the recorded content fingerprint is
-//     trusted (make-style freshness) and a warm hit costs one stat plus a
-//     checksummed snapshot read — no pass over the source at all. On a
-//     stat mismatch, or with LITMUS_SNAPSHOT_VERIFY=1, the source is
-//     re-hashed and compared against the recorded fingerprint. Stale
-//     snapshots (source changed, codec version bumped, corrupt file) are
-//     invalidated automatically and rewritten after the parse.
+//     (".litmus-snap", io/snapshot.h) keyed by the content hash
+//     (obs/content_hash.h) of the source *path*, recording the content
+//     hash of the source *bytes* plus the source's (size, mtime).
+//     ingest_series_file() consults the cache directory first: while the
+//     source's stat matches what the snapshot recorded, the recorded
+//     content fingerprint is trusted (make-style freshness) and a warm hit
+//     costs one stat plus a checksummed snapshot read — no pass over the
+//     source at all. On a stat mismatch, or with LITMUS_SNAPSHOT_VERIFY=1,
+//     the source is re-hashed and compared against the recorded
+//     fingerprint. Stale snapshots (source changed, codec version bumped,
+//     corrupt file) are reported with a kWarning "stale_snapshot" event
+//     and rewritten after the parse; a snapshot of an older format (v2 and
+//     earlier used a different payload checksum) is never served.
 //
 // Observability: ingest.rows / ingest.bytes counters,
 // ingest.snapshot_hits / ingest.snapshot_misses, and ingest.rows_per_s /
@@ -94,7 +96,7 @@ struct IngestReport {
   std::uint64_t rows = 0;        ///< CSV data rows parsed (0 on snapshot hit)
   std::uint64_t bytes = 0;       ///< source CSV size in bytes
   std::uint64_t series = 0;      ///< series the ingest produced
-  std::uint64_t fingerprint = 0; ///< FNV-1a 64 of the source CSV bytes
+  std::uint64_t fingerprint = 0; ///< content_hash64 of the source CSV bytes
   std::size_t chunks = 1;        ///< parallel chunks the parse used
   bool from_snapshot = false;
   std::string snapshot_path;     ///< resolved cache file ("" when disabled)
@@ -133,6 +135,11 @@ std::uint64_t file_mtime_ns(const std::string& path) noexcept;
 
 /// Records the ingest.* counters and gauges for a completed ingest.
 void record_ingest_metrics(const IngestReport& rep);
+
+/// Reports a cached snapshot that failed validation and is about to be
+/// rebuilt from the source: a note on stderr plus a kWarning
+/// "stale_snapshot" event carrying the reason.
+void warn_stale_snapshot(const std::string& path, const std::string& why);
 
 }  // namespace detail
 

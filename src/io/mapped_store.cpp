@@ -8,9 +8,7 @@
 #include <string_view>
 #include <utility>
 
-#include "obs/events.h"
-#include "obs/json.h"
-#include "obs/manifest.h"
+#include "obs/content_hash.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -121,22 +119,24 @@ std::unique_ptr<MappedStore> MappedStore::open(const std::string& path,
   if (data.size() - kHeaderBytes != payload_bytes + sizeof(std::uint64_t))
     return fail("payload size mismatch");
 
+  // One pass over the payload: walk the record table, building the
+  // key-sorted index of zero-copy views, and feed each record to the
+  // checksum right after its header is read, while its lines are hot.
+  // Record-level structure (counts, KPI ids) is validated too, so a
+  // snapshot written by a buggy producer is rejected rather than served.
+  // A structural failure still hashes the rest, so a corrupt payload
+  // reports the checksum first, exactly as a checksum-then-walk would.
   const char* const payload = p + kHeaderBytes;
-  std::uint64_t recorded_fnv = 0;
-  std::memcpy(&recorded_fnv, payload + payload_bytes, sizeof recorded_fnv);
-  if (obs::fnv1a64(payload, payload_bytes) != recorded_fnv)
-    return fail("payload checksum mismatch");
-
-  // Walk the record table, building the key-sorted index of zero-copy
-  // views. The checksum above covers every payload byte, but record-level
-  // structure (counts, KPI ids) is still validated so a snapshot written
-  // by a buggy producer is rejected rather than served.
+  const char* const rend = payload + payload_bytes;
+  obs::ContentHasher hasher;
+  const char* structure_error = nullptr;
   store->index_.reserve(static_cast<std::size_t>(n_series));
   const char* rp = payload;
-  const char* const rend = payload + payload_bytes;
   for (std::uint64_t s = 0; s < n_series; ++s) {
-    if (static_cast<std::size_t>(rend - rp) < kRecordHeaderBytes)
-      return fail("truncated record header");
+    if (static_cast<std::size_t>(rend - rp) < kRecordHeaderBytes) {
+      structure_error = "truncated record header";
+      break;
+    }
     std::uint32_t element = 0, kpi_raw = 0;
     std::int64_t start_bin = 0;
     std::int32_t bin_minutes = 0;
@@ -146,12 +146,16 @@ std::unique_ptr<MappedStore> MappedStore::open(const std::string& path,
     std::memcpy(&start_bin, rp + 8, 8);
     std::memcpy(&bin_minutes, rp + 16, 4);
     std::memcpy(&n_values, rp + 24, 8);
-    rp += kRecordHeaderBytes;
+    const char* const values = rp + kRecordHeaderBytes;
     if (kpi_raw >
-        static_cast<std::uint32_t>(kpi::KpiId::kDroppedVoiceCallRatio))
-      return fail("unknown KPI id");
-    if (n_values > static_cast<std::size_t>(rend - rp) / sizeof(double))
-      return fail("truncated values");
+        static_cast<std::uint32_t>(kpi::KpiId::kDroppedVoiceCallRatio)) {
+      structure_error = "unknown KPI id";
+      break;
+    }
+    if (n_values > static_cast<std::size_t>(rend - values) / sizeof(double)) {
+      structure_error = "truncated values";
+      break;
+    }
     Entry e;
     e.key = {element, static_cast<kpi::KpiId>(kpi_raw)};
     e.view.start_bin = start_bin;
@@ -159,12 +163,22 @@ std::unique_ptr<MappedStore> MappedStore::open(const std::string& path,
     // 8-byte alignment is a format guarantee (io/snapshot.h): header 56B,
     // record headers 32B, value columns n*8B.
     e.view.values = std::span<const double>(
-        reinterpret_cast<const double*>(rp),
+        reinterpret_cast<const double*>(values),
         static_cast<std::size_t>(n_values));
     store->index_.push_back(e);
-    rp += n_values * sizeof(double);
+    const char* const next = values + n_values * sizeof(double);
+    hasher.update(rp, static_cast<std::size_t>(next - rp));
+    rp = next;
   }
-  if (rp != rend) return fail("trailing bytes after records");
+  if (!structure_error && rp != rend)
+    structure_error = "trailing bytes after records";
+  hasher.update(rp, static_cast<std::size_t>(rend - rp));
+
+  std::uint64_t recorded_hash = 0;
+  std::memcpy(&recorded_hash, rend, sizeof recorded_hash);
+  if (hasher.digest() != recorded_hash)
+    return fail("payload checksum mismatch");
+  if (structure_error) return fail(structure_error);
 
   // Both writers emit records ascending by key (SnapshotWriter contract,
   // std::map iteration); keep the O(n) verify with a sort fallback so a
@@ -258,7 +272,7 @@ MappedIngest ingest_series_file_mapped(const std::string& path,
   bool have_fingerprint = false;
 
   rep.snapshot_path = snapshot_cache_path(
-      opts.snapshot_dir, obs::fnv1a64(path.data(), path.size()));
+      opts.snapshot_dir, obs::content_hash64(path.data(), path.size()));
   const auto meta = read_snapshot_meta(rep.snapshot_path);
   if (meta) {
     // Same stat-trust probe as ingest_series_file (see io/ingest.h §2).
@@ -268,9 +282,9 @@ MappedIngest ingest_series_file_mapped(const std::string& path,
                          mtime_ns != 0 && meta->source_mtime_ns != 0 &&
                          meta->source_bytes == rep.bytes &&
                          meta->source_mtime_ns == mtime_ns;
-    rep.fingerprint = trusted
-                          ? meta->fingerprint
-                          : obs::fnv1a64(src.view().data(), src.size());
+    rep.fingerprint =
+        trusted ? meta->fingerprint
+                : obs::content_hash64(src.view().data(), src.size());
     have_fingerprint = !trusted;
     std::string why;
     out.store = MappedStore::open_for_source(rep.snapshot_path,
@@ -287,20 +301,13 @@ MappedIngest ingest_series_file_mapped(const std::string& path,
       detail::record_ingest_metrics(rep);
       return out;
     }
-    std::fprintf(stderr, "note: stale snapshot %s (%s); re-parsing\n",
-                 rep.snapshot_path.c_str(), why.c_str());
-    if (auto* ev = obs::events())
-      ev->emit(obs::EventType::kWarning, [&](obs::JsonWriter& w) {
-        w.member("what", "stale_snapshot")
-            .member("path", std::string_view(rep.snapshot_path))
-            .member("reason", std::string_view(why));
-      });
+    detail::warn_stale_snapshot(rep.snapshot_path, why);
   }
 
   // Miss or stale: parse the CSV, write a fresh snapshot, map that. The
   // scratch heap store exists only for the duration of the rewrite.
   if (!have_fingerprint)
-    rep.fingerprint = obs::fnv1a64(src.view().data(), src.size());
+    rep.fingerprint = obs::content_hash64(src.view().data(), src.size());
   SeriesStore scratch;
   rep.rows = load_series_csv_fast(src.view(), scratch, opts, &rep.chunks);
   rep.series = scratch.size();

@@ -10,11 +10,12 @@
 //
 // Safety and validation. open() validates the full format before exposing
 // anything: magic, codec version, endian tag, header/payload sizes, and
-// the trailing FNV-1a payload checksum over every payload byte. A snapshot
-// that fails any check yields nullptr plus a one-line reason — never a
-// half-populated store — and the ingest layer falls back to the CSV parse
-// with a warning event. The record index is built in the same validation
-// pass, so a truncated record table is caught before first use.
+// the trailing payload checksum (obs/content_hash.h) over every payload
+// byte. A snapshot that fails any check yields nullptr plus a one-line
+// reason — never a half-populated store — and the ingest layer falls back
+// to the CSV parse with a warning event. The record index is built in the
+// same validation pass, so a truncated record table is caught before first
+// use.
 //
 // Read-only contract. The mapping is PROT_READ: the store never writes a
 // byte, the kernel shares the pages MAP_SHARED across every consumer, and

@@ -71,10 +71,10 @@ std::optional<SnapshotMeta> read_snapshot_meta(const std::string& path) {
 
   ByteSource in{header, header + kHeaderBytes};
   char magic[8];
-  std::uint32_t version = 0, endian = 0;
+  std::uint32_t endian = 0;
   SnapshotMeta meta;
   in.raw(magic, sizeof magic);
-  in.get(version);
+  in.p += sizeof(std::uint32_t);  // version: the full validation checks it
   in.get(endian);
   in.get(meta.fingerprint);
   in.get(meta.source_bytes);
@@ -82,8 +82,7 @@ std::optional<SnapshotMeta> read_snapshot_meta(const std::string& path) {
 
   if (std::memcmp(magic, kSnapshotMagic.data(), kSnapshotMagic.size()) != 0)
     return std::nullopt;
-  if (version != kSnapshotVersion || endian != kEndianTag)
-    return std::nullopt;
+  if (endian != kEndianTag) return std::nullopt;
   return meta;
 }
 
@@ -102,8 +101,7 @@ SnapshotWriter::SnapshotWriter(const std::string& path,
                                std::uint64_t source_bytes,
                                std::uint64_t source_mtime_ns)
     : path_(path),
-      out_(obs::open_output_file(path)),
-      payload_fnv_(14695981039346656037ull) {  // FNV-1a offset basis
+      out_(obs::open_output_file(path)) {
   ByteSink header;
   header.raw(kSnapshotMagic.data(), kSnapshotMagic.size());
   header.u32(kSnapshotVersion);
@@ -145,8 +143,7 @@ void SnapshotWriter::append(std::uint32_t element, kpi::KpiId kpi,
   rec.raw(values.data(), values.size() * sizeof(double));
   out_.write(rec.bytes.data(),
              static_cast<std::streamsize>(rec.bytes.size()));
-  payload_fnv_ =
-      obs::fnv1a64(rec.bytes.data(), rec.bytes.size(), payload_fnv_);
+  payload_hash_.update(rec.bytes.data(), rec.bytes.size());
   payload_bytes_ += rec.bytes.size();
   ++n_series_;
 }
@@ -154,8 +151,9 @@ void SnapshotWriter::append(std::uint32_t element, kpi::KpiId kpi,
 void SnapshotWriter::finish() {
   if (finished_) return;
   finished_ = true;
-  out_.write(reinterpret_cast<const char*>(&payload_fnv_),
-             sizeof payload_fnv_);
+  const std::uint64_t payload_hash = payload_hash_.digest();
+  out_.write(reinterpret_cast<const char*>(&payload_hash),
+             sizeof payload_hash);
   // magic(8) + version(4) + endian(4) + fingerprint(8) + source_bytes(8)
   // + source_mtime_ns(8) = 40: the n_series / payload_bytes slots.
   out_.seekp(40);
@@ -226,9 +224,9 @@ SnapshotLoad load_series_snapshot(const std::string& path, SeriesStore& store,
     return stale("payload size mismatch");
 
   const char* const payload = in.p;
-  std::uint64_t recorded_fnv = 0;
-  std::memcpy(&recorded_fnv, payload + payload_bytes, sizeof recorded_fnv);
-  if (obs::fnv1a64(payload, payload_bytes) != recorded_fnv)
+  std::uint64_t recorded_hash = 0;
+  std::memcpy(&recorded_hash, payload + payload_bytes, sizeof recorded_hash);
+  if (obs::content_hash64(payload, payload_bytes) != recorded_hash)
     return stale("payload checksum mismatch");
 
   // Decode into a scratch store first so a malformed payload (despite the

@@ -12,7 +12,7 @@
 //     magic            8 bytes  "LITSNAP1"
 //     version          u32      kSnapshotVersion
 //     endian_tag       u32      0x01020304 as written by the producer
-//     fingerprint      u64      FNV-1a 64 of the *source CSV* bytes
+//     fingerprint      u64      content_hash64 of the *source CSV* bytes
 //     source_bytes     u64      size of the source CSV
 //     source_mtime_ns  u64      source mtime (ns since epoch; 0 = unknown)
 //     n_series         u64
@@ -26,7 +26,7 @@
 //     n_values         u64
 //     values           n_values * f64 (raw bit patterns)
 //   trailer
-//     payload_fnv      u64      FNV-1a 64 of the payload bytes
+//     payload_hash     u64      content_hash64 of the payload bytes
 //
 // Invalidation rules: a snapshot loads only when magic, version, endian
 // tag, source fingerprint, source byte count, payload size, and payload
@@ -57,10 +57,11 @@
 #include <string>
 
 #include "io/store.h"
+#include "obs/content_hash.h"
 
 namespace litmus::io {
 
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 inline constexpr std::string_view kSnapshotMagic = "LITSNAP1";
 inline constexpr std::string_view kSnapshotSuffix = ".litmus-snap";
 
@@ -111,20 +112,24 @@ class SnapshotWriter {
   std::ofstream out_;
   std::uint64_t n_series_ = 0;
   std::uint64_t payload_bytes_ = 0;
-  std::uint64_t payload_fnv_;  ///< chained FNV-1a over payload bytes so far
+  obs::ContentHasher payload_hash_;  ///< over the payload bytes so far
   bool finished_ = false;
 };
 
 /// Source identity recorded in a snapshot header.
 struct SnapshotMeta {
-  std::uint64_t fingerprint = 0;      ///< FNV-1a 64 of the source bytes
+  std::uint64_t fingerprint = 0;      ///< content_hash64 of the source bytes
   std::uint64_t source_bytes = 0;
   std::uint64_t source_mtime_ns = 0;  ///< 0 = unknown at write time
 };
 
 /// Reads just the header of a snapshot. Returns nullopt when the file is
-/// missing, unreadable, or not a current-version snapshot for this
-/// byte order (callers then treat the snapshot as absent/stale).
+/// missing, unreadable, or not a snapshot for this byte order (callers
+/// then treat it as absent). A header of another codec version still
+/// yields its meta: the full validation (load_series_snapshot,
+/// MappedStore::open) rejects it as "version mismatch", so the caller
+/// reports the stale snapshot and rebuilds it instead of silently
+/// skipping it.
 std::optional<SnapshotMeta> read_snapshot_meta(const std::string& path);
 
 /// Best-effort in-place update of the recorded source mtime. Called after
@@ -151,7 +156,7 @@ SnapshotLoad load_series_snapshot(const std::string& path, SeriesStore& store,
 
 /// Cache-file path for a source with this key:
 /// "<dir>/<16-hex-digits>.litmus-snap". ingest_series_file keys by the
-/// FNV-1a hash of the source *path*, so each source owns one stable cache
+/// content_hash64 of the source *path*, so each source owns one stable cache
 /// file (probed without touching the source bytes, rewritten in place —
 /// with rotation — when the source changes).
 std::string snapshot_cache_path(const std::string& dir, std::uint64_t key);

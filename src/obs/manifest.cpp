@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "obs/content_hash.h"
 #include "obs/json.h"
 #include "obs/metrics.h"  // LITMUS_OBS_ENABLED default
 
@@ -22,40 +23,20 @@ std::string hex64(std::uint64_t v) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(const void* data, std::size_t len,
-                      std::uint64_t seed) noexcept {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t hash = seed;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    hash ^= p[i];
-    hash *= kPrime;
-  }
-  return hash;
-}
-
-std::uint64_t fnv1a64(std::istream& in, std::uint64_t* bytes) {
-  constexpr std::uint64_t kOffset = 14695981039346656037ull;
-  std::uint64_t hash = kOffset;
-  std::uint64_t total = 0;
-  char chunk[65536];
-  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
-    const std::streamsize got = in.gcount();
-    hash = fnv1a64(chunk, static_cast<std::size_t>(got), hash);
-    total += static_cast<std::uint64_t>(got);
-    if (!in) break;
-  }
-  if (bytes) *bytes = total;
-  return hash;
-}
-
 InputFingerprint fingerprint_file(const std::string& path) {
   InputFingerprint fp;
   fp.path = path;
   std::ifstream in(path, std::ios::binary);
   if (!in) return fp;
-  fp.hash = fnv1a64(in, &fp.bytes);
-  fp.ok = true;
+  ContentHasher hasher;
+  char chunk[65536];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    hasher.update(chunk, static_cast<std::size_t>(in.gcount()));
+    if (!in) break;
+  }
+  fp.bytes = hasher.bytes();
+  fp.hash = hasher.digest();
+  fp.ok = in.eof() && !in.bad();
   return fp;
 }
 
@@ -139,7 +120,7 @@ void RunManifest::write(JsonWriter& w) const {
     w.begin_object()
         .member("path", fp.path)
         .member("bytes", fp.bytes)
-        .member("fnv1a64", hex64(fp.hash))
+        .member("hash64", hex64(fp.hash))
         .member("ok", fp.ok)
         .end_object();
   }

@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <istream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,7 +24,7 @@ namespace litmus::obs {
 class JsonWriter;
 
 /// Library semantic version, single-sourced for the CLI and the benches.
-inline constexpr const char* kLitmusVersion = "0.9.0";
+inline constexpr const char* kLitmusVersion = "0.10.0";
 
 /// Identifier of the RNG substream scheme (DESIGN.md §8): per-iteration
 /// counter-based forks, Rng(seed).fork(iteration). Recorded so a future
@@ -35,8 +34,8 @@ inline constexpr const char* kRngScheme = "counter-fork-v1";
 struct InputFingerprint {
   std::string path;
   std::uint64_t bytes = 0;
-  std::uint64_t hash = 0;  ///< FNV-1a 64 over the raw bytes
-  bool ok = false;         ///< false when the file could not be read
+  std::uint64_t hash = 0;  ///< content_hash64 (obs/content_hash.h) of the bytes
+  bool ok = false;         ///< false unless the file was read to its end
 };
 
 struct RunManifest {
@@ -80,15 +79,10 @@ struct RunManifest {
   void write_file(const std::string& path) const;
 };
 
-/// Streaming FNV-1a 64 of everything readable from `in`; byte count is
-/// returned through `bytes` when non-null.
-std::uint64_t fnv1a64(std::istream& in, std::uint64_t* bytes = nullptr);
-
-/// FNV-1a 64 of an in-memory buffer. `seed` chains calls: pass a previous
-/// result to continue hashing, so buffered and streamed hashes agree.
-std::uint64_t fnv1a64(const void* data, std::size_t len,
-                      std::uint64_t seed = 14695981039346656037ull) noexcept;
-
+/// Streams the file through a fixed buffer into a ContentHasher. `ok` is
+/// set only when the read reached the end of the file without an I/O
+/// error, so a directory or a failing device is never recorded as a
+/// readable empty input.
 InputFingerprint fingerprint_file(const std::string& path);
 
 /// Compile-time switches that can change results or overhead, e.g.

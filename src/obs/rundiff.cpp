@@ -145,7 +145,7 @@ void compare_maps(std::vector<DiffLine>& out,
   }
 }
 
-/// inputs array -> path -> "bytes=...,fnv1a64=...,ok=..."
+/// inputs array -> path -> "hash64=... bytes=...[ UNREAD]"
 std::map<std::string, std::string> inputs_as_map(const JsonValue& m) {
   std::map<std::string, std::string> out;
   const JsonValue* inputs = m.find("inputs");
@@ -157,7 +157,7 @@ std::map<std::string, std::string> inputs_as_map(const JsonValue& m) {
     const std::string base =
         std::filesystem::path(path).filename().string();
     const JsonValue* bytes = fp.find("bytes");
-    out[base] = "fnv1a64=" + fp.member_string("fnv1a64", "?") + " bytes=" +
+    out[base] = "hash64=" + fp.member_string("hash64", "?") + " bytes=" +
                 (bytes ? scalar_to_string(*bytes) : "?") +
                 (fp.find("ok") && fp.find("ok")->boolean ? "" : " UNREAD");
   }

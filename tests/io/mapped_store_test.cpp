@@ -1,7 +1,8 @@
 // Mapped columnar store tests: bit-identity of the zero-copy provider
 // against the heap SeriesStore path, rejection of every corruption class
-// (bad magic, truncation, checksum flip) with the CSV fallback emitting a
-// warning event instead of half-populating, and lock-free concurrent
+// (bad magic, truncation, checksum flip, older format version) with the
+// CSV fallback emitting a warning event instead of half-populating or
+// serving the rejected file, and lock-free concurrent
 // readers (this binary runs under TSan in CI).
 #include "io/mapped_store.h"
 
@@ -146,14 +147,30 @@ TEST_F(MappedStoreTest, RejectsTruncation) {
 
 TEST_F(MappedStoreTest, RejectsChecksumFlip) {
   const std::string snap = make_snapshot();
-  // One bit in the middle of the payload: headers still parse, the FNV
-  // trailer does not match.
+  // One bit in the middle of the payload: headers still parse, the
+  // payload checksum trailer does not match.
   const std::string bad = corrupt_copy(
       snap, "bitflip.litmus-snap",
       [](std::string& b) { b[b.size() / 2] ^= 0x01; });
   std::string why;
   EXPECT_EQ(MappedStore::open(bad, &why), nullptr);
   EXPECT_NE(why.find("checksum"), std::string::npos) << why;
+}
+
+TEST_F(MappedStoreTest, RejectsBadRecordUnderAValidChecksum) {
+  // A buggy producer checksums what it wrote, so the checksum passes and
+  // the record-table walk has to catch the unknown KPI id.
+  const std::string path = (root_ / "bad_kpi.litmus-snap").string();
+  {
+    SnapshotWriter writer(path, 1, 1, 0);
+    const std::vector<double> values = {0.5, 0.25};
+    writer.append(1, kpi::KpiId::kVoiceRetainability, 0, 60, values);
+    writer.append(2, static_cast<kpi::KpiId>(250), 0, 60, values);
+    writer.finish();
+  }
+  std::string why;
+  EXPECT_EQ(MappedStore::open(path, &why), nullptr);
+  EXPECT_EQ(why, "unknown KPI id");
 }
 
 TEST_F(MappedStoreTest, CorruptSnapshotFallsBackToCsvWithWarning) {
@@ -222,6 +239,118 @@ TEST_F(MappedStoreTest, CorruptSnapshotFallsBackToCsvWithWarning) {
                           a.values().size() * sizeof(double)),
               0);
   }
+}
+
+/// Rewrites the u32 version field that follows the 8-byte magic.
+void set_snapshot_version(const std::string& path, std::uint32_t version) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(8);
+  f.write(reinterpret_cast<const char*>(&version), sizeof version);
+}
+
+std::uint32_t snapshot_version(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  f.seekg(8);
+  std::uint32_t version = 0;
+  f.read(reinterpret_cast<char*>(&version), sizeof version);
+  return version;
+}
+
+TEST_F(MappedStoreTest, OlderFormatVersionIsRejected) {
+  // Version 2 is the format before the content-hash payload checksum: its
+  // trailer means something else, so both readers must refuse it.
+  const std::string snap = make_snapshot();
+  const std::string v2 = (root_ / "v2.litmus-snap").string();
+  fs::copy_file(snap, v2);
+  set_snapshot_version(v2, 2);
+  std::string why;
+  EXPECT_EQ(MappedStore::open(v2, &why), nullptr);
+  EXPECT_EQ(why, "version mismatch");
+  SeriesStore heap;
+  EXPECT_EQ(load_series_snapshot(v2, heap, 0, 0, &why), SnapshotLoad::kStale);
+  EXPECT_EQ(why, "version mismatch");
+  EXPECT_EQ(heap.size(), 0u);
+}
+
+TEST_F(MappedStoreTest, OlderFormatVersionIsRebuiltFromCsvWithWarning) {
+  const fs::path csv = root_ / "series.csv";
+  {
+    std::ofstream out(csv);
+    out << "# element_id, kpi_name, bin, value\n";
+    for (int e = 1; e <= 3; ++e)
+      for (int b = -4; b < 4; ++b)
+        out << e << ", voice_retainability, " << b << ", 0.8" << e << "\n";
+  }
+  SeriesStore parsed;
+  {
+    std::ifstream in(csv);
+    load_series_csv(in, parsed);
+  }
+
+  // Runs one ingest with an event log attached; returns the log's bytes.
+  const auto with_events = [](const auto& ingest) {
+    std::ostringstream bytes;
+    {
+      obs::EventLog log(bytes);
+      obs::set_events(&log);
+      ingest();
+      obs::set_events(nullptr);
+    }
+    return bytes.str();
+  };
+  const auto expect_rebuilt = [&](const std::string& events,
+                                  const std::string& snapshot_path) {
+    EXPECT_NE(events.find("\"type\":\"warning\""), std::string::npos)
+        << events;
+    EXPECT_NE(events.find("version mismatch"), std::string::npos) << events;
+    EXPECT_EQ(snapshot_version(snapshot_path), kSnapshotVersion);
+  };
+
+  IngestOptions mapped_opts;
+  mapped_opts.snapshot_dir = (root_ / "mapped_cache").string();
+  const std::string mapped_snap =
+      ingest_series_file_mapped(csv.string(), mapped_opts)
+          .report.snapshot_path;
+  set_snapshot_version(mapped_snap, 2);
+  MappedIngest mapped;
+  const std::string mapped_events = with_events(
+      [&] { mapped = ingest_series_file_mapped(csv.string(), mapped_opts); });
+  ASSERT_NE(mapped.store, nullptr);
+  EXPECT_FALSE(mapped.report.from_snapshot);
+  expect_rebuilt(mapped_events, mapped_snap);
+
+  IngestOptions heap_opts;
+  heap_opts.snapshot_dir = (root_ / "heap_cache").string();
+  SeriesStore first;
+  const std::string heap_snap =
+      ingest_series_file(csv.string(), first, heap_opts).snapshot_path;
+  set_snapshot_version(heap_snap, 2);
+  SeriesStore heap;
+  IngestReport heap_rep;
+  const std::string heap_events = with_events(
+      [&] { heap_rep = ingest_series_file(csv.string(), heap, heap_opts); });
+  EXPECT_FALSE(heap_rep.from_snapshot);
+  EXPECT_EQ(heap_rep.rows, 24u);
+  expect_rebuilt(heap_events, heap_snap);
+
+  // Both serve the CSV's bits, and the rebuilt snapshots hit next time.
+  const core::SeriesProvider want = parsed.provider();
+  for (const core::SeriesProvider& got :
+       {mapped.store->provider(), heap.provider()})
+    for (std::uint32_t e = 1; e <= 3; ++e) {
+      const ts::TimeSeries a =
+          want(net::ElementId{e}, kpi::KpiId::kVoiceRetainability, -4, 8);
+      const ts::TimeSeries b =
+          got(net::ElementId{e}, kpi::KpiId::kVoiceRetainability, -4, 8);
+      ASSERT_EQ(std::memcmp(a.values().data(), b.values().data(),
+                            a.values().size() * sizeof(double)),
+                0);
+    }
+  EXPECT_TRUE(
+      ingest_series_file_mapped(csv.string(), mapped_opts).report
+          .from_snapshot);
+  SeriesStore warm;
+  EXPECT_TRUE(ingest_series_file(csv.string(), warm, heap_opts).from_snapshot);
 }
 
 TEST_F(MappedStoreTest, ConcurrentReadersAreBitIdentical) {

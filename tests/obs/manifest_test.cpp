@@ -1,5 +1,6 @@
-// Tests for run provenance: streaming fingerprints, manifest JSON
-// round-trip through the parser, and the non-clobbering output opener.
+// Tests for run provenance: the content hash behind every fingerprint,
+// streaming file fingerprints, manifest JSON round-trip through the
+// parser, and the non-clobbering output opener.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,7 +10,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "obs/content_hash.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
 
@@ -56,16 +59,98 @@ TEST(ManifestTest, FingerprintIsStableAndSensitiveToContent) {
   EXPECT_FALSE(missing.ok);
 }
 
-TEST(ManifestTest, Fnv1a64MatchesReferenceVectors) {
-  // Published FNV-1a 64 test vectors.
-  std::istringstream a("a");
-  EXPECT_EQ(fnv1a64(a), 0xaf63dc4c8601ec8cULL);
-  std::istringstream foobar("foobar");
-  std::uint64_t bytes = 0;
-  EXPECT_EQ(fnv1a64(foobar, &bytes), 0x85944171f73967e8ULL);
-  EXPECT_EQ(bytes, 6u);
-  std::istringstream empty("");
-  EXPECT_EQ(fnv1a64(empty), 0xcbf29ce484222325ULL);  // offset basis
+TEST(ManifestTest, FingerprintStreamsTheWholeFile) {
+  // Larger than the 64 KiB read buffer and not a multiple of it: the
+  // streamed digest must equal the one-shot digest of the same bytes.
+  TempDir dir;
+  std::string text;
+  for (int i = 0; text.size() < 200'003; ++i)
+    text += std::to_string(i * 7919) + ",";
+  text.resize(200'003);
+  write_text(dir.file("big.csv"), text);
+  const InputFingerprint fp = fingerprint_file(dir.file("big.csv"));
+  EXPECT_TRUE(fp.ok);
+  EXPECT_EQ(fp.bytes, text.size());
+  EXPECT_EQ(fp.hash, content_hash64(text.data(), text.size()));
+}
+
+TEST(ManifestTest, FingerprintOfADirectoryIsNotOk) {
+  // A directory opens as a stream but its first read fails; that must not
+  // be recorded as a readable, empty input.
+  TempDir dir;
+  fs::create_directories(dir.file("subdir"));
+  const InputFingerprint fp = fingerprint_file(dir.file("subdir"));
+  EXPECT_FALSE(fp.ok);
+}
+
+/// 0, 1, 2, ... as bytes: a buffer whose every word differs.
+std::vector<unsigned char> ramp(std::size_t n) {
+  std::vector<unsigned char> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = static_cast<unsigned char>(i * 31 + 7);
+  return v;
+}
+
+TEST(ContentHashTest, MatchesKnownAnswers) {
+  // Pinned digests: a change here changes every snapshot checksum and
+  // cache key, so it must come with a kSnapshotVersion bump.
+  EXPECT_EQ(content_hash64("", 0), 0xaa80f7466ca3941fULL);
+  EXPECT_EQ(content_hash64("a", 1), 0x8353b57856d80453ULL);
+  EXPECT_EQ(content_hash64("foobar", 6), 0xb67559ac5422639bULL);
+  const std::vector<unsigned char> r = ramp(100);
+  EXPECT_EQ(content_hash64(r.data(), r.size()), 0xaef210568232babaULL);
+}
+
+TEST(ContentHashTest, StreamingEqualsOneShotAtEverySplit) {
+  const std::vector<unsigned char> buf = ramp(1024 + 8);
+  for (const std::size_t start : {0u, 1u, 3u, 7u}) {
+    const unsigned char* p = buf.data() + start;
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::uint64_t whole = content_hash64(p, len);
+      // Two pieces, split at every point.
+      for (std::size_t cut = 0; cut <= len; ++cut) {
+        ContentHasher h;
+        h.update(p, cut);
+        h.update(p + cut, len - cut);
+        ASSERT_EQ(h.digest(), whole)
+            << "start " << start << " len " << len << " cut " << cut;
+        ASSERT_EQ(h.bytes(), len);
+      }
+    }
+    // One byte at a time; digest() mid-stream leaves the hasher usable.
+    ContentHasher h;
+    for (std::size_t i = 0; i < 1024; ++i) {
+      h.update(p + i, 1);
+      ASSERT_EQ(h.digest(), content_hash64(p, i + 1)) << "start " << start;
+    }
+  }
+}
+
+TEST(ContentHashTest, EverySingleBitFlipChangesTheDigest) {
+  std::vector<unsigned char> buf = ramp(257);
+  const std::uint64_t base = content_hash64(buf.data(), buf.size());
+  for (std::size_t byte = 0; byte < buf.size(); ++byte)
+    for (int bit = 0; bit < 8; ++bit) {
+      buf[byte] ^= static_cast<unsigned char>(1u << bit);
+      ASSERT_NE(content_hash64(buf.data(), buf.size()), base)
+          << "byte " << byte << " bit " << bit;
+      buf[byte] ^= static_cast<unsigned char>(1u << bit);
+    }
+}
+
+TEST(ContentHashTest, AppendingAZeroByteChangesTheDigest) {
+  // The tail word is zero-padded, so only the folded length tells these
+  // apart; all-zero inputs are the hardest case.
+  for (const bool zeros : {false, true}) {
+    std::vector<unsigned char> buf =
+        zeros ? std::vector<unsigned char>(300, 0) : ramp(300);
+    for (std::size_t len = 0; len < 299; ++len) {
+      buf[len] = 0;
+      ASSERT_NE(content_hash64(buf.data(), len),
+                content_hash64(buf.data(), len + 1))
+          << "len " << len << (zeros ? " (zeros)" : "");
+    }
+  }
 }
 
 TEST(ManifestTest, JsonRoundTripsThroughTheParser) {
@@ -99,7 +184,7 @@ TEST(ManifestTest, JsonRoundTripsThroughTheParser) {
   ASSERT_EQ(inputs->array.size(), 1u);
   const JsonValue& fp = inputs->array[0];
   EXPECT_EQ(fp.member_number("bytes", -1), 2.0);
-  EXPECT_EQ(fp.member_string("fnv1a64", "").size(), 16u);
+  EXPECT_EQ(fp.member_string("hash64", "").size(), 16u);
   const JsonValue* ok = fp.find("ok");
   ASSERT_NE(ok, nullptr);
   EXPECT_TRUE(ok->boolean);

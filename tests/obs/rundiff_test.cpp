@@ -41,7 +41,7 @@ class RunDiffTest : public ::testing::Test {
            "\"started_at_utc\":\"2026-08-06T00:00:00Z\","
            "\"config\":{\"--kpi\":\"voice_retainability\"},"
            "\"inputs\":[{\"path\":\"demo/series.csv\",\"bytes\":10,"
-           "\"fnv1a64\":\"00000000000000aa\",\"ok\":true}]}\n";
+           "\"hash64\":\"00000000000000aa\",\"ok\":true}]}\n";
     std::ofstream(dir / "events.jsonl")
         << "{\"v\":1,\"seq\":0,\"t_us\":0,\"type\":\"run_start\"}\n"
         << "{\"v\":1,\"seq\":1,\"t_us\":5,\"type\":\"element_assessed\","
@@ -88,6 +88,32 @@ TEST_F(RunDiffTest, SeedDeltaGates) {
   EXPECT_FALSE(diff_runs(a, b, ignore).drift);
 }
 
+TEST_F(RunDiffTest, InputContentHashDeltaGates) {
+  // Same input path and size, different content hash: the drift must be
+  // read from the manifest's hash64 field and gate.
+  const std::string a = make_run("a");
+  const fs::path b_dir = root_ / "b";
+  fs::copy(a, b_dir, fs::copy_options::recursive);
+  std::string manifest;
+  {
+    std::ifstream in(b_dir / "run_manifest.json");
+    std::getline(in, manifest);
+  }
+  const std::string from = "00000000000000aa";
+  manifest.replace(manifest.find(from), from.size(), "00000000000000bb");
+  std::ofstream(b_dir / "run_manifest.json") << manifest << "\n";
+
+  const RunData ra = load_run_dir(a);
+  const RunData rb = load_run_dir(b_dir.string());
+  const RunDiffReport report = diff_runs(ra, rb);
+  EXPECT_TRUE(report.drift);
+  EXPECT_NE(format_run_diff(report, ra, rb)
+                .find("hash64=00000000000000aa bytes=10 -> "
+                      "hash64=00000000000000bb bytes=10"),
+            std::string::npos)
+      << format_run_diff(report, ra, rb);
+}
+
 TEST_F(RunDiffTest, ThreadCountDeltaIsInformationalOnly) {
   const RunData a = load_run_dir(make_run("a", 42, /*threads=*/1));
   const RunData b = load_run_dir(make_run("b", 42, /*threads=*/8));
@@ -119,7 +145,7 @@ TEST_F(RunDiffTest, ServeTrafficAndAddressNeverGate) {
          "\"--serve\":\"127.0.0.1:0\",\"--ready-stale-ms\":\"500\","
          "\"serve.addr\":\"127.0.0.1:40441\"},"
          "\"inputs\":[{\"path\":\"demo/series.csv\",\"bytes\":10,"
-         "\"fnv1a64\":\"00000000000000aa\",\"ok\":true}]}\n";
+         "\"hash64\":\"00000000000000aa\",\"ok\":true}]}\n";
   std::ofstream(b_dir / "metrics.json")
       << "{\"counters\":{\"litmus.iterations\":1000,"
          "\"stage.fit.calls\":123,\"serve.requests\":17,"
@@ -201,7 +227,7 @@ std::string make_adaptive_run(const fs::path& root, const std::string& name,
          "\"--adaptive-sampling\":\"" << adaptive << "\","
          "\"--min-iterations\":\"8\",\"--stability-rounds\":\"2\"},"
          "\"inputs\":[{\"path\":\"demo/series.csv\",\"bytes\":10,"
-         "\"fnv1a64\":\"00000000000000aa\",\"ok\":true}]}\n";
+         "\"hash64\":\"00000000000000aa\",\"ok\":true}]}\n";
   std::ofstream(dir / "events.jsonl")
       << "{\"v\":1,\"seq\":0,\"t_us\":0,\"type\":\"run_start\"}\n"
       << "{\"v\":1,\"seq\":1,\"t_us\":5,\"type\":\"element_assessed\","
