@@ -168,11 +168,12 @@ SyntheticResults run_synthetic_sweep(const SyntheticConfig& cfg,
       reg.counter("synthetic.trials").add(done);
       const std::string prefix =
           "synthetic.worker." + std::to_string(worker_idx);
-      reg.counter(prefix + ".trials").add(done);
+      // Which worker ran how many trials depends on scheduling.
+      reg.counter(prefix + ".trials", obs::MetricClass::kMeasured).add(done);
       const double elapsed_s =
           static_cast<double>(obs::now_ns() - started_ns) / 1e9;
       if (elapsed_s > 0)
-        reg.gauge(prefix + ".trials_per_s")
+        reg.gauge(prefix + ".trials_per_s", obs::MetricClass::kMeasured)
             .set(static_cast<double>(done) / elapsed_s);
     }
   };

@@ -378,13 +378,16 @@ std::uint64_t file_mtime_ns(const std::string& path) noexcept {
 
 void record_ingest_metrics(const IngestReport& rep) {
   if (!obs::enabled()) return;
+  // Rows and bytes parsed depend on whether the snapshot cache hit; the
+  // loaded store does not (DESIGN.md §11).
+  constexpr auto kMeasured = obs::MetricClass::kMeasured;
   auto& reg = obs::Registry::global();
-  reg.counter("ingest.rows").add(rep.rows);
-  reg.counter("ingest.bytes").add(rep.bytes);
+  reg.counter("ingest.rows", kMeasured).add(rep.rows);
+  reg.counter("ingest.bytes", kMeasured).add(rep.bytes);
   if (rep.seconds > 0.0) {
-    reg.gauge("ingest.rows_per_s")
+    reg.gauge("ingest.rows_per_s", kMeasured)
         .set(static_cast<double>(rep.rows) / rep.seconds);
-    reg.gauge("ingest.bytes_per_s")
+    reg.gauge("ingest.bytes_per_s", kMeasured)
         .set(static_cast<double>(rep.bytes) / rep.seconds);
   }
 }
@@ -500,7 +503,9 @@ IngestReport ingest_series_file(const std::string& path, SeriesStore& store,
         rep.series = store.size();
         rep.seconds = static_cast<double>(obs::now_ns() - t0) / 1e9;
         if (obs::enabled())
-          obs::Registry::global().counter("ingest.snapshot_hits").add();
+          obs::Registry::global()
+              .counter("ingest.snapshot_hits", obs::MetricClass::kMeasured)
+              .add();
         detail::record_ingest_metrics(rep);
         return rep;
       }
@@ -515,7 +520,9 @@ IngestReport ingest_series_file(const std::string& path, SeriesStore& store,
   rep.series = store.size();
   if (!opts.snapshot_dir.empty()) {
     if (obs::enabled())
-      obs::Registry::global().counter("ingest.snapshot_misses").add();
+      obs::Registry::global()
+          .counter("ingest.snapshot_misses", obs::MetricClass::kMeasured)
+          .add();
     if (store_was_empty)
       save_series_snapshot(rep.snapshot_path, store, rep.fingerprint,
                            rep.bytes, mtime_ns);

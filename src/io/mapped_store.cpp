@@ -45,13 +45,16 @@ std::uint64_t proc_major_faults() noexcept {
 
 void record_store_metrics(const MappedStore::OpenStats& st) {
   if (!obs::enabled()) return;
+  // How the series were served, not what they hold: a mapped snapshot
+  // is bit-identical to the parsed store (DESIGN.md §15).
+  constexpr auto kMeasured = obs::MetricClass::kMeasured;
   auto& reg = obs::Registry::global();
-  reg.counter("store.opens").add();
-  reg.gauge("store.open_seconds").set(st.seconds);
-  reg.gauge("store.bytes_mapped")
+  reg.counter("store.opens", kMeasured).add();
+  reg.gauge("store.open_seconds", kMeasured).set(st.seconds);
+  reg.gauge("store.bytes_mapped", kMeasured)
       .set(static_cast<double>(st.bytes_mapped));
-  reg.gauge("store.series").set(static_cast<double>(st.series));
-  reg.gauge("store.majflt_delta")
+  reg.gauge("store.series", kMeasured).set(static_cast<double>(st.series));
+  reg.gauge("store.majflt_delta", kMeasured)
       .set(static_cast<double>(st.major_faults));
 }
 
@@ -297,7 +300,9 @@ MappedIngest ingest_series_file_mapped(const std::string& path,
       rep.series = out.store->size();
       rep.seconds = static_cast<double>(obs::now_ns() - t0) / 1e9;
       if (obs::enabled())
-        obs::Registry::global().counter("ingest.snapshot_hits").add();
+        obs::Registry::global()
+            .counter("ingest.snapshot_hits", obs::MetricClass::kMeasured)
+            .add();
       detail::record_ingest_metrics(rep);
       return out;
     }
@@ -312,7 +317,9 @@ MappedIngest ingest_series_file_mapped(const std::string& path,
   rep.rows = load_series_csv_fast(src.view(), scratch, opts, &rep.chunks);
   rep.series = scratch.size();
   if (obs::enabled())
-    obs::Registry::global().counter("ingest.snapshot_misses").add();
+    obs::Registry::global()
+        .counter("ingest.snapshot_misses", obs::MetricClass::kMeasured)
+        .add();
   save_series_snapshot(rep.snapshot_path, scratch, rep.fingerprint,
                        rep.bytes, mtime_ns);
 

@@ -295,14 +295,18 @@ ShardedBatchReport assess_change_log_sharded(const chg::ChangeLog& log,
         add_adaptive_stats(out.merged.items[i], sum);
     sum.seconds = static_cast<double>(obs::now_ns() - t0) / 1e9;
     if (obs::enabled()) {
+      // How the batch was partitioned; any shard count gives the same
+      // verdicts.
+      constexpr auto kMeasured = obs::MetricClass::kMeasured;
       auto& reg = obs::Registry::global();
-      reg.gauge("shard.count").set(static_cast<double>(plan.size()));
-      reg.gauge("shard." + std::to_string(s) + ".records")
+      const std::string shard = "shard." + std::to_string(s);
+      reg.gauge("shard.count", kMeasured)
+          .set(static_cast<double>(plan.size()));
+      reg.gauge(shard + ".records", kMeasured)
           .set(static_cast<double>(sum.records));
-      reg.gauge("shard." + std::to_string(s) + ".seconds")
-          .set(sum.seconds);
+      reg.gauge(shard + ".seconds", kMeasured).set(sum.seconds);
       if (ctx.adaptive)
-        reg.gauge("shard." + std::to_string(s) + ".adaptive_stopped_early")
+        reg.gauge(shard + ".adaptive_stopped_early", kMeasured)
             .set(static_cast<double>(sum.adaptive_stopped_early));
     }
     if (cb.on_finish) cb.on_finish(sum);

@@ -116,12 +116,16 @@ void PanelCache::observe(std::uint64_t hit_delta, std::uint64_t miss_delta,
     obs::Gauge& entries;
     obs::Gauge& pressure;
   };
-  static Handles h{obs::Registry::global().counter("panel_cache.hits"),
-                   obs::Registry::global().counter("panel_cache.misses"),
-                   obs::Registry::global().counter("panel_cache.evictions"),
-                   obs::Registry::global().gauge("panel_cache.bytes"),
-                   obs::Registry::global().gauge("panel_cache.entries"),
-                   obs::Registry::global().gauge("panel_cache.pressure")};
+  // Hit/miss counts depend on the budget and on which worker reached a
+  // panel first; the assessed results do not (DESIGN.md §10).
+  constexpr auto kMeasured = obs::MetricClass::kMeasured;
+  auto& reg = obs::Registry::global();
+  static Handles h{reg.counter("panel_cache.hits", kMeasured),
+                   reg.counter("panel_cache.misses", kMeasured),
+                   reg.counter("panel_cache.evictions", kMeasured),
+                   reg.gauge("panel_cache.bytes", kMeasured),
+                   reg.gauge("panel_cache.entries", kMeasured),
+                   reg.gauge("panel_cache.pressure", kMeasured)};
   if (hit_delta > 0) h.hits.add(hit_delta);
   if (miss_delta > 0) h.misses.add(miss_delta);
   if (evict_delta > 0) h.evictions.add(evict_delta);
@@ -144,13 +148,15 @@ namespace {
 /// shard-lock contention.
 obs::Histogram& hit_latency_histogram() {
   static obs::Histogram& h =
-      obs::Registry::global().histogram("panel_cache.hit_us");
+      obs::Registry::global().histogram("panel_cache.hit_us",
+                                        obs::MetricClass::kMeasured);
   return h;
 }
 
 obs::Histogram& build_latency_histogram() {
   static obs::Histogram& h =
-      obs::Registry::global().histogram("panel_cache.build_us");
+      obs::Registry::global().histogram("panel_cache.build_us",
+                                        obs::MetricClass::kMeasured);
   return h;
 }
 

@@ -315,7 +315,11 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
             reg.histogram("litmus.fit.r_squared").record(model.r_squared);
             reg.histogram("litmus.fit.residual_stddev")
                 .record(model.residual_stddev);
-            reg.gauge("litmus.fit.condition_number").set(model.condition);
+            // Last write wins across workers, so which fit it shows
+            // depends on scheduling.
+            reg.gauge("litmus.fit.condition_number",
+                      obs::MetricClass::kMeasured)
+                .set(model.condition);
           }
           if (!model.ok) {
             ++a.failures;
@@ -340,7 +344,9 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
           if (a.qr_fallback > 0)
             reg.counter("litmus.fit.qr_fallback").add(a.qr_fallback);
           reg.counter("litmus.worker." +
-                      std::to_string(obs::thread_index()) + ".iterations")
+                          std::to_string(obs::thread_index()) +
+                          ".iterations",
+                      obs::MetricClass::kMeasured)
               .add(a.iterations);
         }
         // Chunk-granular events (never per iteration): failed fits and

@@ -191,12 +191,16 @@ void HttpServer::handle(int fd) {
   if (!read_request(fd, req)) return;
 
   Registry& reg = Registry::global();
+  // Serve metrics count who polled the plane, never what the run computed.
+  const auto counter = [&reg](std::string_view name) -> Counter& {
+    return reg.counter(name, MetricClass::kMeasured);
+  };
   // The request counters land in the same registry the scrape renders;
   // counting *before* rendering makes the very first scrape self-visible
   // (check_prom.py --require litmus_serve_requests_total holds from
   // request one).
   const bool count = enabled();
-  if (count) reg.counter("serve.requests").add();
+  if (count) counter("serve.requests").add();
 
   if (req.method != "GET") {
     respond(fd, 405, "Method Not Allowed", "text/plain; charset=utf-8",
@@ -205,18 +209,18 @@ void HttpServer::handle(int fd) {
   }
 
   if (req.path == "/metrics") {
-    if (count) reg.counter("serve.requests.metrics").add();
+    if (count) counter("serve.requests.metrics").add();
     const std::uint64_t t0 = now_ns();
     const std::string body = prometheus_text(reg.snapshot());
     if (count)
-      reg.histogram("serve.scrape_us")
+      reg.histogram("serve.scrape_us", MetricClass::kMeasured)
           .record(static_cast<double>(now_ns() - t0) / 1000.0);
     respond(fd, 200, "OK", kPromContentType, body);
   } else if (req.path == "/healthz") {
-    if (count) reg.counter("serve.requests.healthz").add();
+    if (count) counter("serve.requests.healthz").add();
     respond(fd, 200, "OK", "text/plain; charset=utf-8", "ok\n");
   } else if (req.path == "/readyz") {
-    if (count) reg.counter("serve.requests.readyz").add();
+    if (count) counter("serve.requests.readyz").add();
     const auto age = heartbeat_age_ms();
     const bool ready = age && *age <= options_.ready_stale_after_ms;
     if (ready) {
@@ -231,10 +235,10 @@ void HttpServer::handle(int fd) {
               body);
     }
   } else if (req.path == "/status") {
-    if (count) reg.counter("serve.requests.status").add();
+    if (count) counter("serve.requests.status").add();
     respond(fd, 200, "OK", "application/json", status_json());
   } else if (req.path == "/events") {
-    if (count) reg.counter("serve.requests.events").add();
+    if (count) counter("serve.requests.events").add();
     EventLog* log = events();
     std::ostringstream body;
     if (!log) {
@@ -256,7 +260,7 @@ void HttpServer::handle(int fd) {
     }
     respond(fd, 200, "OK", "application/json", body.str());
   } else {
-    if (count) reg.counter("serve.requests.not_found").add();
+    if (count) counter("serve.requests.not_found").add();
     respond(fd, 404, "Not Found", "text/plain; charset=utf-8",
             "unknown path; try /metrics /healthz /readyz /status "
             "/events\n");

@@ -15,6 +15,10 @@ std::atomic<std::uint32_t> g_next_thread{0};
 
 }  // namespace
 
+const char* metric_class_name(MetricClass cls) noexcept {
+  return cls == MetricClass::kMeasured ? "measured" : "deterministic";
+}
+
 #if LITMUS_OBS_ENABLED
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) noexcept {
@@ -171,44 +175,57 @@ void Histogram::reset() {
 }
 
 template <typename Map>
-static auto& lookup(std::mutex& mu, Map& map, std::string_view name) {
+static auto& lookup(std::mutex& mu, Map& map, std::string_view name,
+                    MetricClass cls) {
   std::lock_guard<std::mutex> lock(mu);
   const auto it = map.find(name);
-  if (it != map.end()) return *it->second;
-  using Metric = typename Map::mapped_type::element_type;
-  return *map.emplace(std::string(name), std::make_unique<Metric>())
-              .first->second;
+  if (it != map.end()) return *it->second.metric;
+  using Entry = typename Map::mapped_type;
+  using Metric = typename decltype(Entry::metric)::element_type;
+  return *map.emplace(std::string(name),
+                      Entry{std::make_unique<Metric>(), cls})
+              .first->second.metric;
 }
 
-Counter& Registry::counter(std::string_view name) {
-  return lookup(mu_, counters_, name);
+Counter& Registry::counter(std::string_view name, MetricClass cls) {
+  return lookup(mu_, counters_, name, cls);
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  return lookup(mu_, gauges_, name);
+Gauge& Registry::gauge(std::string_view name, MetricClass cls) {
+  return lookup(mu_, gauges_, name, cls);
 }
 
-Histogram& Registry::histogram(std::string_view name) {
-  return lookup(mu_, histograms_, name);
+Histogram& Registry::histogram(std::string_view name, MetricClass cls) {
+  return lookup(mu_, histograms_, name, cls);
 }
 
 MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot out;
+  const auto classify = [&](const std::string& name, MetricClass cls) {
+    MetricClass& slot = out.classes.try_emplace(name, cls).first->second;
+    if (cls == MetricClass::kMeasured) slot = cls;
+  };
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, c] : counters_)
-    out.counters.emplace_back(name, c->value());
-  for (const auto& [name, g] : gauges_)
-    out.gauges.emplace_back(name, g->value());
-  for (const auto& [name, h] : histograms_)
-    out.histograms.emplace_back(name, h->snapshot());
+  for (const auto& [name, c] : counters_) {
+    out.counters.emplace_back(name, c.metric->value());
+    classify(name, c.cls);
+  }
+  for (const auto& [name, g] : gauges_) {
+    out.gauges.emplace_back(name, g.metric->value());
+    classify(name, g.cls);
+  }
+  for (const auto& [name, h] : histograms_) {
+    out.histograms.emplace_back(name, h.metric->snapshot());
+    classify(name, h.cls);
+  }
   return out;
 }
 
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
+  for (auto& [name, c] : counters_) c.metric->reset();
+  for (auto& [name, g] : gauges_) g.metric->reset();
+  for (auto& [name, h] : histograms_) h.metric->reset();
 }
 
 Registry& Registry::global() {

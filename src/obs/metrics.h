@@ -46,6 +46,21 @@ std::uint64_t now_ns() noexcept;
 /// asks, 1 for the next, ...). Stable for the thread's lifetime.
 std::uint32_t thread_index() noexcept;
 
+/// What a metric's value is a function of, declared when it is registered.
+/// Drift audits (obs/rundiff.h) gate only on deterministic metrics, so the
+/// default fails closed: a metric nobody classified still gates.
+enum class MetricClass : std::uint8_t {
+  /// A pure function of (seed, inputs, config): iteration counts, verdict
+  /// tallies, fit diagnostics. Identical across same-seed runs.
+  kDeterministic,
+  /// Timing, scheduling, cache or I/O: latencies, per-worker shares, cache
+  /// hits, bytes mapped. Differs between same-seed runs by nature.
+  kMeasured,
+};
+
+/// "deterministic" / "measured", as metrics.json records the class.
+const char* metric_class_name(MetricClass cls) noexcept;
+
 /// Monotonic event counter.
 class Counter {
  public:
@@ -159,6 +174,9 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
+  /// Declared class of every metric above, by name. A name registered as
+  /// more than one kind with different classes reads as measured.
+  std::map<std::string, MetricClass> classes;
 
   bool empty() const noexcept {
     return counters.empty() && gauges.empty() && histograms.empty();
@@ -168,11 +186,16 @@ struct MetricsSnapshot {
 /// Named metric registry. Lookup registers on first use; returned
 /// references stay valid for the registry's lifetime (reset() zeroes
 /// values but never removes metrics, so call sites may cache them).
+/// The class is fixed by the first registration of a name; later lookups
+/// return the same metric whatever class they pass.
 class Registry {
  public:
-  Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
+  Counter& counter(std::string_view name,
+                   MetricClass cls = MetricClass::kDeterministic);
+  Gauge& gauge(std::string_view name,
+               MetricClass cls = MetricClass::kDeterministic);
+  Histogram& histogram(std::string_view name,
+                       MetricClass cls = MetricClass::kDeterministic);
 
   MetricsSnapshot snapshot() const;
   void reset();
@@ -181,10 +204,18 @@ class Registry {
   static Registry& global();
 
  private:
+  template <typename Metric>
+  struct Entry {
+    std::unique_ptr<Metric> metric;
+    MetricClass cls;
+  };
+  template <typename Metric>
+  using Map = std::map<std::string, Entry<Metric>, std::less<>>;
+
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  Map<Counter> counters_;
+  Map<Gauge> gauges_;
+  Map<Histogram> histograms_;
 };
 
 }  // namespace litmus::obs

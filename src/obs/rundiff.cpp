@@ -9,6 +9,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/metrics.h"
+
 namespace litmus::obs {
 namespace {
 
@@ -73,25 +75,6 @@ std::string verdict_key(const JsonValue& event, const std::string& type) {
       key += " up_to " + num_key(event, "up_to");
   }
   return key;
-}
-
-/// Metrics whose values depend on scheduling or machine speed, never on
-/// what the run computed. They stay out of the drift gate. panel_cache.*
-/// belongs here too: hit/miss/eviction counts depend on the cache budget
-/// and on which worker got to a panel first, while the assessed results
-/// are bit-identical either way (DESIGN.md §10).
-/// serve.* belongs here too: scrape counts and latencies depend on who
-/// polled the live observability plane, never on what the run computed.
-/// store.* belongs here too: mmap timings, mapped bytes, and page-fault
-/// deltas describe how the series were *served*, and a mapped snapshot is
-/// bit-identical to the parsed store (DESIGN.md §15). shard.* records how
-/// the batch was partitioned; any shard count produces the same verdicts.
-bool scheduling_dependent(const std::string& name) {
-  return name.starts_with("stage.") || name.starts_with("parallel.") ||
-         name.starts_with("litmus.worker.") ||
-         name.starts_with("panel_cache.") || name.starts_with("ingest.") ||
-         name.starts_with("serve.") || name.starts_with("store.") ||
-         name.starts_with("shard.");
 }
 
 double rel_delta(double a, double b) {
@@ -161,6 +144,20 @@ std::map<std::string, std::string> inputs_as_map(const JsonValue& m) {
                 (bytes ? scalar_to_string(*bytes) : "?") +
                 (fp.find("ok") && fp.find("ok")->boolean ? "" : " UNREAD");
   }
+  return out;
+}
+
+/// Names a metrics.json "classes" object declares measured (timing,
+/// scheduling, cache or I/O). A name it does not list is deterministic,
+/// so a metrics.json written before classes existed gates everything.
+std::set<std::string> measured_metrics(const JsonValue& metrics) {
+  std::set<std::string> out;
+  const JsonValue* classes = metrics.find("classes");
+  if (!classes || !classes->is_object()) return out;
+  for (const auto& [name, v] : classes->object)
+    if (v.kind == JsonValue::Kind::kString &&
+        v.string == metric_class_name(MetricClass::kMeasured))
+      out.insert(name);
   return out;
 }
 
@@ -315,9 +312,11 @@ RunDiffReport diff_runs(const RunData& a, const RunData& b,
     // The live observability plane is read-only: whether a run served
     // scrapes (and on which ephemeral port) cannot change its results,
     // so --serve and the recorded serve.addr never gate.
-    // --shards / --store / --series-snap are informational for the same
-    // reason as --threads: the mapped store serves bit-identical windows
-    // and any shard count merges to the same verdicts (DESIGN.md §15).
+    // --threads never gates: output is bit-identical at any thread count
+    // (DESIGN.md §8). --shards / --store / --series-snap are
+    // informational for the same reason: the mapped store serves
+    // bit-identical windows and any shard count merges to the same
+    // verdicts (DESIGN.md §15).
     // Window/iteration flags (--before-bins, --after-bins, --iterations)
     // stay gating — they change what is computed.
     const auto informational = [](const std::string& k) {
@@ -325,7 +324,7 @@ RunDiffReport diff_runs(const RunData& a, const RunData& b,
            {"--events-jsonl", "--metrics-json", "--trace-json",
             "--panel-cache-mb", "--snapshot-cache", "--simd", "--serve",
             "--ready-stale-ms", "--profile-json", "--profile-sample",
-            "--shards", "--store", "--series-snap", "--series"})
+            "--threads", "--shards", "--store", "--series-snap", "--series"})
         if (k == name) return true;
       return k.starts_with("ingest.") || k.starts_with("serve.") ||
              k.starts_with("shard.") || k.starts_with("store.");
@@ -403,13 +402,17 @@ RunDiffReport diff_runs(const RunData& a, const RunData& b,
             n.starts_with("rank_test."));
   };
   if (a.metrics.is_object() && b.metrics.is_object()) {
+    // A measured metric differs between same-seed runs by nature; it
+    // never gates, whichever run declared it so.
+    std::set<std::string> measured = measured_metrics(a.metrics);
+    measured.merge(measured_metrics(b.metrics));
     const auto ca = metrics_section(a.metrics, "counters", nullptr);
     const auto cb = metrics_section(b.metrics, "counters", nullptr);
     std::set<std::string> names;
     for (const auto& [n, _] : ca) names.insert(n);
     for (const auto& [n, _] : cb) names.insert(n);
     for (const std::string& n : names) {
-      if (scheduling_dependent(n)) continue;
+      if (measured.contains(n)) continue;
       const double va = ca.contains(n) ? ca.at(n) : -1.0;
       const double vb = cb.contains(n) ? cb.at(n) : -1.0;
       if (va != vb) {
@@ -427,7 +430,7 @@ RunDiffReport diff_runs(const RunData& a, const RunData& b,
     for (const auto& [n, _] : ha) names.insert(n);
     for (const auto& [n, _] : hb) names.insert(n);
     for (const std::string& n : names) {
-      if (scheduling_dependent(n)) continue;
+      if (measured.contains(n)) continue;
       const bool gate = !metric_informational(n);
       if (!ha.contains(n) || !hb.contains(n)) {
         report.metrics.push_back(

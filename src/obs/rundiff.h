@@ -11,8 +11,9 @@
 //     one side, is a flip.
 //   * metric drift: deterministic counters compared exactly and value
 //     histograms (fit R², rank-test statistic, ...) compared at p50 within
-//     a relative tolerance; scheduling-dependent metrics (stage.*,
-//     parallel.*, litmus.worker.*) and gauges are informational only.
+//     a relative tolerance. A metric that either run's metrics.json
+//     "classes" object declares measured (timing, scheduling, cache, I/O;
+//     see obs::MetricClass) never gates, and gauges are not compared.
 //     Wall time is compared only when a wall tolerance is configured —
 //     machine noise should not fail a reproducibility audit by default.
 //

@@ -50,6 +50,10 @@ void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot,
     w.end_object();
   }
   w.end_object();
+  w.key("classes").begin_object();
+  for (const auto& [name, cls] : snapshot.classes)
+    w.member(name, metric_class_name(cls));
+  w.end_object();
   w.end_object();
   out << '\n';
 }

@@ -21,9 +21,12 @@ namespace litmus::obs {
 struct RunManifest;
 
 /// {"manifest":{...},"counters":{...},"gauges":{...},
-///  "histograms":{name:{count,sum,min,max,mean,p50,p90,p95,p99}}}
+///  "histograms":{name:{count,sum,min,max,mean,p50,p90,p95,p99}},
+///  "classes":{name:"deterministic"|"measured"}}
 /// The manifest member is present when `manifest` is non-null, so every
-/// metrics artifact carries its own provenance (obs/manifest.h).
+/// metrics artifact carries its own provenance (obs/manifest.h). The
+/// classes member records each metric's declared MetricClass, which is
+/// what `diff-runs` gates on.
 void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot,
                         const RunManifest* manifest = nullptr);
 

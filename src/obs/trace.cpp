@@ -20,7 +20,8 @@ Histogram& stage_histogram(const char* name) {
   thread_local std::vector<std::pair<const char*, Histogram*>> cache;
   for (const auto& [key, hist] : cache)
     if (key == name) return *hist;
-  Histogram& h = Registry::global().histogram(std::string("stage.") + name);
+  Histogram& h = Registry::global().histogram(std::string("stage.") + name,
+                                              MetricClass::kMeasured);
   cache.emplace_back(name, &h);
   return h;
 }

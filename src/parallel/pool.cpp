@@ -64,8 +64,8 @@ class ThreadPool {
     tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) {
       auto& reg = obs::Registry::global();
-      reg.counter("parallel.pool.tasks").add();
-      reg.gauge("parallel.pool.queue_depth")
+      reg.counter("parallel.pool.tasks", obs::MetricClass::kMeasured).add();
+      reg.gauge("parallel.pool.queue_depth", obs::MetricClass::kMeasured)
           .set(static_cast<double>(depth));
     }
     cv_.notify_one();
@@ -105,7 +105,7 @@ class ThreadPool {
         queue_.pop_front();
         if (obs::enabled())
           obs::Registry::global()
-              .gauge("parallel.pool.queue_depth")
+              .gauge("parallel.pool.queue_depth", obs::MetricClass::kMeasured)
               .set(static_cast<double>(queue_.size()));
       }
       const std::uint64_t run_start = obs::now_ns();
@@ -118,13 +118,14 @@ class ThreadPool {
       tasks_completed_.fetch_add(1, std::memory_order_relaxed);
       if (obs::enabled()) {
         auto& reg = obs::Registry::global();
-        reg.histogram("pool.task_wait_us")
+        reg.histogram("pool.task_wait_us", obs::MetricClass::kMeasured)
             .record(static_cast<double>(run_start - task.submit_ns) / 1000.0);
-        reg.histogram("pool.task_run_us")
+        reg.histogram("pool.task_run_us", obs::MetricClass::kMeasured)
             .record(static_cast<double>(run_end - run_start) / 1000.0);
         if (utilization == nullptr)
-          utilization = &reg.gauge("pool.worker." + std::to_string(index) +
-                                   ".utilization");
+          utilization = &reg.gauge(
+              "pool.worker." + std::to_string(index) + ".utilization",
+              obs::MetricClass::kMeasured);
         const std::uint64_t alive_ns = run_end - born_ns;
         if (alive_ns > 0)
           utilization->set(static_cast<double>(busy_ns) /

@@ -172,7 +172,56 @@ TEST_F(ObsTest, MetricsJsonRoundTrip) {
             std::count(json.begin(), json.end(), '}'));
 }
 
+TEST_F(ObsTest, MetricClassIsFixedAtFirstRegistrationAndExported) {
+  Registry reg;
+  reg.counter("verdicts").add(3);
+  reg.histogram("wait_us", MetricClass::kMeasured).record(7.0);
+  reg.gauge("rate_per_s", MetricClass::kMeasured).set(2.0);
+  // A later lookup returns the same metric and cannot reclassify it.
+  EXPECT_EQ(&reg.counter("verdicts", MetricClass::kMeasured),
+            &reg.counter("verdicts"));
+  EXPECT_EQ(&reg.histogram("wait_us"),
+            &reg.histogram("wait_us", MetricClass::kMeasured));
+  // One name registered as two kinds reads as measured if either is.
+  reg.counter("dual").add();
+  reg.histogram("dual", MetricClass::kMeasured).record(1.0);
+
+  const MetricsSnapshot snap = reg.snapshot();
+  const std::map<std::string, MetricClass> expected = {
+      {"dual", MetricClass::kMeasured},
+      {"rate_per_s", MetricClass::kMeasured},
+      {"verdicts", MetricClass::kDeterministic},
+      {"wait_us", MetricClass::kMeasured}};
+  EXPECT_EQ(snap.classes, expected);
+
+  std::ostringstream out;
+  write_metrics_json(out, snap);
+  std::string error;
+  const auto doc = parse_json(out.str(), &error);
+  ASSERT_TRUE(doc) << error;
+  const JsonValue* classes = doc->find("classes");
+  ASSERT_NE(classes, nullptr);
+  EXPECT_EQ(classes->member_string("verdicts", ""), "deterministic");
+  EXPECT_EQ(classes->member_string("wait_us", ""), "measured");
+  EXPECT_EQ(classes->member_string("rate_per_s", ""), "measured");
+  EXPECT_EQ(classes->member_string("dual", ""), "measured");
+  // The class rides alongside the values; the sections keep their shape.
+  EXPECT_EQ(doc->find("counters")->member_number("verdicts", -1.0), 3.0);
+  EXPECT_EQ(doc->find("histograms")->find("wait_us")->member_number(
+                "count", -1.0),
+            1.0);
+}
+
 #if LITMUS_OBS_ENABLED
+
+TEST_F(ObsTest, StageHistogramsRegisterAsMeasured) {
+  {
+    ScopedSpan span("unit_test_class");
+  }
+  const auto classes = Registry::global().snapshot().classes;
+  ASSERT_TRUE(classes.contains("stage.unit_test_class"));
+  EXPECT_EQ(classes.at("stage.unit_test_class"), MetricClass::kMeasured);
+}
 
 TEST_F(ObsTest, TraceJsonContainsAllSpans) {
   Tracer tracer;

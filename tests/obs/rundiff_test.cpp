@@ -1,6 +1,7 @@
 // Tests for cross-run drift comparison: the golden zero-drift case on a
 // byte-identical copy, seed/config/input gating, the informational status
-// of thread count and wall time, verdict flips, and metric tolerance.
+// of thread count and wall time, verdict flips, metric tolerance, and the
+// declared metric classes (measured metrics never gate).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -128,6 +129,35 @@ TEST_F(RunDiffTest, ThreadCountDeltaIsInformationalOnly) {
   EXPECT_TRUE(mentioned);
 }
 
+TEST_F(RunDiffTest, ThreadsConfigFlagIsInformationalOnly) {
+  // litmus_cli records --threads in the resolved config as well as in the
+  // manifest's threads field; neither may gate.
+  const std::string a = make_run("a", 42, /*threads=*/1);
+  const std::string b = make_run("b", 42, /*threads=*/4);
+  for (const auto& [dir, n] : {std::pair{a, "1"}, std::pair{b, "4"}}) {
+    std::string manifest;
+    {
+      std::ifstream in(fs::path(dir) / "run_manifest.json");
+      std::getline(in, manifest);
+    }
+    const std::string from = "\"config\":{";
+    manifest.insert(manifest.find(from) + from.size(),
+                    std::string("\"--threads\":\"") + n + "\",");
+    std::ofstream(fs::path(dir) / "run_manifest.json") << manifest << "\n";
+  }
+  const RunData ra = load_run_dir(a);
+  const RunData rb = load_run_dir(b);
+  const RunDiffReport report = diff_runs(ra, rb);
+  EXPECT_FALSE(report.drift) << format_run_diff(report, ra, rb);
+  bool mentioned = false;
+  for (const auto& line : report.manifest)
+    if (line.text.find("config --threads: 1 -> 4") != std::string::npos) {
+      mentioned = true;
+      EXPECT_FALSE(line.gating);
+    }
+  EXPECT_TRUE(mentioned) << format_run_diff(report, ra, rb);
+}
+
 TEST_F(RunDiffTest, ServeTrafficAndAddressNeverGate) {
   // Run A never served; run B ran with --serve on an ephemeral port and
   // absorbed scrapes (serve.* counters, scrape-latency histogram). The
@@ -151,7 +181,10 @@ TEST_F(RunDiffTest, ServeTrafficAndAddressNeverGate) {
          "\"stage.fit.calls\":123,\"serve.requests\":17,"
          "\"serve.requests.metrics\":9},"
          "\"histograms\":{\"litmus.fit.r_squared\":{\"count\":10,"
-         "\"p50\":0.9},\"serve.scrape_us\":{\"count\":9,\"p50\":120}}}\n";
+         "\"p50\":0.9},\"serve.scrape_us\":{\"count\":9,\"p50\":120}},"
+         "\"classes\":{\"serve.requests\":\"measured\","
+         "\"serve.requests.metrics\":\"measured\","
+         "\"serve.scrape_us\":\"measured\"}}\n";
 
   const RunData ra = load_run_dir(a);
   const RunData rb = load_run_dir(b_dir.string());
@@ -182,6 +215,112 @@ TEST_F(RunDiffTest, DeterministicCounterDeltaGatesExactly) {
   const RunData a = load_run_dir(make_run("a", 42, 1, "improvement", 1000));
   const RunData b = load_run_dir(make_run("b", 42, 1, "improvement", 1001));
   EXPECT_TRUE(diff_runs(a, b).drift);  // deterministic counters: exact
+}
+
+/// Replaces a run's metrics.json with one that declares metric classes,
+/// as the registry writes it.
+void write_classed_metrics(const std::string& dir,
+                           const std::string& counters,
+                           const std::string& histograms,
+                           const std::string& classes) {
+  std::ofstream(fs::path(dir) / "metrics.json")
+      << "{\"counters\":{" << counters << "},\"histograms\":{"
+      << histograms << "},\"classes\":{" << classes << "}}\n";
+}
+
+TEST_F(RunDiffTest, MeasuredCounterAndHistogramNeverGate) {
+  // Two same-seed runs that differ only in pool timings: the measured
+  // counter and histogram differ far beyond any tolerance, and one
+  // measured histogram exists only in run B. None of it may gate.
+  const std::string a = make_run("a");
+  const std::string b = make_run("b");
+  write_classed_metrics(
+      a, "\"litmus.iterations\":1000,\"parallel.pool.tasks\":12",
+      "\"litmus.fit.r_squared\":{\"count\":10,\"p50\":0.9},"
+      "\"pool.task_run_us\":{\"count\":12,\"p50\":400}",
+      "\"litmus.iterations\":\"deterministic\","
+      "\"litmus.fit.r_squared\":\"deterministic\","
+      "\"parallel.pool.tasks\":\"measured\","
+      "\"pool.task_run_us\":\"measured\"");
+  write_classed_metrics(
+      b, "\"litmus.iterations\":1000,\"parallel.pool.tasks\":37",
+      "\"litmus.fit.r_squared\":{\"count\":10,\"p50\":0.9},"
+      "\"pool.task_run_us\":{\"count\":37,\"p50\":76},"
+      "\"pool.task_wait_us\":{\"count\":37,\"p50\":1088}",
+      "\"litmus.iterations\":\"deterministic\","
+      "\"litmus.fit.r_squared\":\"deterministic\","
+      "\"parallel.pool.tasks\":\"measured\","
+      "\"pool.task_run_us\":\"measured\","
+      "\"pool.task_wait_us\":\"measured\"");
+  const RunData ra = load_run_dir(a);
+  const RunData rb = load_run_dir(b);
+  const RunDiffReport report = diff_runs(ra, rb);
+  EXPECT_FALSE(report.drift) << format_run_diff(report, ra, rb);
+  for (const auto& line : report.metrics)
+    EXPECT_FALSE(line.gating) << line.text;
+
+  // One side's declaration is enough: a run written before the metric
+  // was classified (no "classes" entry) still compares clean against one
+  // that declares it measured.
+  write_classed_metrics(
+      a, "\"litmus.iterations\":1000,\"parallel.pool.tasks\":12",
+      "\"litmus.fit.r_squared\":{\"count\":10,\"p50\":0.9},"
+      "\"pool.task_run_us\":{\"count\":12,\"p50\":400}",
+      "");
+  const RunData old_a = load_run_dir(a);
+  EXPECT_FALSE(diff_runs(old_a, rb).drift)
+      << format_run_diff(diff_runs(old_a, rb), old_a, rb);
+}
+
+TEST_F(RunDiffTest, UnclassedAndDeterministicMetricsStillGate) {
+  // The class defaults to deterministic: a counter or histogram that no
+  // "classes" entry declares measured gates exactly as before, next to
+  // measured metrics that do not.
+  const std::string a = make_run("a");
+  const std::string b = make_run("b");
+  const std::string classes =
+      "\"litmus.iterations\":\"deterministic\","
+      "\"pool.task_run_us\":\"measured\"";
+  write_classed_metrics(
+      a, "\"litmus.iterations\":1000,\"assess.elements\":4",
+      "\"litmus.fit.r_squared\":{\"count\":10,\"p50\":0.9},"
+      "\"pool.task_run_us\":{\"count\":12,\"p50\":400}",
+      classes);
+  write_classed_metrics(
+      b, "\"litmus.iterations\":1001,\"assess.elements\":4",
+      "\"litmus.fit.r_squared\":{\"count\":10,\"p50\":0.9},"
+      "\"pool.task_run_us\":{\"count\":12,\"p50\":76}",
+      classes);
+  RunData ra = load_run_dir(a);
+  RunData rb = load_run_dir(b);
+  RunDiffReport report = diff_runs(ra, rb);
+  EXPECT_TRUE(report.drift);  // declared deterministic: exact
+  // The measured histogram's 400 -> 76 swing is not listed at all.
+  ASSERT_EQ(report.metrics.size(), 1u) << format_run_diff(report, ra, rb);
+  EXPECT_NE(report.metrics[0].text.find("counter litmus.iterations"),
+            std::string::npos);
+  EXPECT_TRUE(report.metrics[0].gating);
+
+  // Unclassed counter and unclassed histogram: both gate.
+  write_classed_metrics(
+      b, "\"litmus.iterations\":1000,\"assess.elements\":5",
+      "\"litmus.fit.r_squared\":{\"count\":10,\"p50\":0.5},"
+      "\"pool.task_run_us\":{\"count\":12,\"p50\":76}",
+      classes);
+  rb = load_run_dir(b);
+  report = diff_runs(ra, rb);
+  EXPECT_TRUE(report.drift);
+  bool counter_gates = false, histogram_gates = false;
+  for (const auto& line : report.metrics) {
+    EXPECT_EQ(line.text.find("pool."), std::string::npos) << line.text;
+    if (line.text.find("counter assess.elements: 4 -> 5") !=
+        std::string::npos)
+      counter_gates = line.gating;
+    if (line.text.find("histogram litmus.fit.r_squared") != std::string::npos)
+      histogram_gates = line.gating;
+  }
+  EXPECT_TRUE(counter_gates) << format_run_diff(report, ra, rb);
+  EXPECT_TRUE(histogram_gates) << format_run_diff(report, ra, rb);
 }
 
 TEST_F(RunDiffTest, HistogramDriftRespectsRelativeTolerance) {

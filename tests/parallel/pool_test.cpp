@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "parallel/workspace.h"
 
 namespace litmus::par {
@@ -98,6 +101,31 @@ TEST(Pool, ZeroItemsIsANoOp) {
   EXPECT_EQ(calls.load(), 0);
   EXPECT_EQ(plan_chunks(0), 0u);
 }
+
+#if LITMUS_OBS_ENABLED
+TEST(Pool, SchedulingMetricsRegisterAsMeasured) {
+  // Queue depth, task counts and task latencies depend on scheduling, not
+  // on (seed, inputs, config): diff-runs must never gate on them.
+  obs::set_enabled(true);
+  set_threads(2);
+  parallel_for(8, [](std::size_t) {});
+  // Workers record their task timings after the chunk has signalled the
+  // caller, so give the last one a moment to land.
+  obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
+  for (int i = 0; i < 200 && !snap.classes.contains("pool.task_run_us");
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    snap = obs::Registry::global().snapshot();
+  }
+  obs::set_enabled(false);
+  set_threads(1);
+  for (const char* name : {"parallel.pool.tasks", "parallel.pool.queue_depth",
+                           "pool.task_wait_us", "pool.task_run_us"}) {
+    ASSERT_TRUE(snap.classes.contains(name)) << name;
+    EXPECT_EQ(snap.classes.at(name), obs::MetricClass::kMeasured) << name;
+  }
+}
+#endif
 
 TEST(Workspace, ReferencesSurviveSlotGrowth) {
   // Hot loops hold several slot references at once (e.g. pool + cols in
