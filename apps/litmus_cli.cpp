@@ -56,7 +56,6 @@
 #include "litmus/batch.h"
 #include "litmus/did.h"
 #include "litmus/monitor.h"
-#include "litmus/panel_cache.h"
 #include "litmus/report.h"
 #include "litmus/study_only.h"
 #include "obs/chrometrace.h"
@@ -91,8 +90,7 @@ int usage() {
                "[--explain]\n"
                "              [--adaptive-sampling on|off] "
                "[--min-iterations N] [--stability-rounds N]\n"
-               "              [--threads N] [--panel-cache-mb N] "
-               "[--snapshot-cache DIR]\n"
+               "              [--threads N] [--snapshot-cache DIR]\n"
                "              [--simd scalar|sse2|avx2|avx512|neon] "
                "[--fast-math-kernels]\n"
                "              [--metrics-json FILE] [--trace-json FILE] "
@@ -106,8 +104,8 @@ int usage() {
                "[--iterations N]\n"
                "              [--adaptive-sampling on|off] "
                "[--min-iterations N] [--stability-rounds N]\n"
-               "              [--threads N] [--panel-cache-mb N] "
-               "[--snapshot-cache DIR] [--seed N]\n"
+               "              [--threads N] [--snapshot-cache DIR] "
+               "[--seed N]\n"
                "              [--simd TIER] [--fast-math-kernels]\n"
                "              [--metrics-json FILE] [--trace-json FILE] "
                "[--events-jsonl FILE]\n"
@@ -132,9 +130,6 @@ int usage() {
                "\n"
                "--threads N (or LITMUS_THREADS): worker threads for the\n"
                "sampling/batch fan-out; results are identical at any count.\n"
-               "--panel-cache-mb N (or LITMUS_PANEL_CACHE_MB): byte budget\n"
-               "of the shared Gram-panel cache (default 64; 0 disables);\n"
-               "results are identical at any setting.\n"
                "--snapshot-cache DIR (or LITMUS_SNAPSHOT_CACHE): binary\n"
                "series-ingest cache keyed by the CSV's fingerprint; repeated\n"
                "runs over an unchanged export skip parsing entirely and are\n"
@@ -143,7 +138,7 @@ int usage() {
                "mmap (read-only shared pages, zero-copy); --series-snap SNAP\n"
                "maps a .litmus-snap directly with no CSV at all. batch\n"
                "--shards N (or LITMUS_SHARDS) partitions records by element\n"
-               "across shard-local panel caches; with --events-jsonl each\n"
+               "into shards run one after another; with --events-jsonl each\n"
                "shard persists shard-NN/{run_manifest.json,events.jsonl}.\n"
                "All three stores and any shard count are bit-identical.\n"
                "gen-corpus streams a zip-clustered synthetic corpus\n"
@@ -446,19 +441,6 @@ void apply_threads_flag(const std::map<std::string, std::string>& args) {
   par::set_threads(static_cast<std::size_t>(*v));
 }
 
-// --panel-cache-mb N overrides the shared panel cache's byte budget (else
-// LITMUS_PANEL_CACHE_MB, else 64 MiB); 0 disables caching. Verdicts are
-// bit-identical at any setting (DESIGN.md §10).
-void apply_panel_cache_flag(const std::map<std::string, std::string>& args) {
-  const auto it = args.find("panel-cache-mb");
-  if (it == args.end()) return;
-  const auto v = io::parse_int(it->second);
-  if (!v || *v < 0)
-    throw std::runtime_error("bad --panel-cache-mb: " + it->second);
-  core::PanelCache::global().set_capacity_bytes(
-      static_cast<std::size_t>(*v) << 20);
-}
-
 // --simd TIER forces the kernel dispatch tier (else LITMUS_SIMD, else the
 // best the host supports); default-mode results are bit-identical at any
 // tier (DESIGN.md §13). --fast-math-kernels switches the dot/Gram kernels
@@ -662,7 +644,6 @@ int assess(const std::map<std::string, std::string>& args) {
   };
 
   apply_threads_flag(args);  // validate before the expensive loads
-  apply_panel_cache_flag(args);
   apply_simd_flags(args);
 
   // The session opens before the loads so the ingest layer's counters and
@@ -730,10 +711,9 @@ int assess(const std::map<std::string, std::string>& args) {
   return 0;
 }
 
-// --shards N (else LITMUS_SHARDS, else 1) runs the batch through the
-// sharded driver: deterministic element partition, shard-local panel
-// caches, per-shard run artifacts. Results are bit-identical to an
-// unsharded run over the same inputs.
+// --shards N (else LITMUS_SHARDS, else 1) runs the batch shard by shard:
+// deterministic element partition, per-shard run artifacts. Results are
+// bit-identical to an unsharded run over the same inputs.
 std::size_t resolve_shards(const std::map<std::string, std::string>& args) {
   std::string spec;
   if (const auto it = args.find("shards"); it != args.end())
@@ -755,7 +735,6 @@ int batch(const std::map<std::string, std::string>& args) {
   };
 
   apply_threads_flag(args);  // validate before the expensive loads
-  apply_panel_cache_flag(args);
   apply_simd_flags(args);
   const std::size_t n_shards = resolve_shards(args);
 
@@ -907,8 +886,6 @@ int batch(const std::map<std::string, std::string>& args) {
         w.member("shard", static_cast<std::uint64_t>(sum.shard))
             .member("records", static_cast<std::uint64_t>(sum.records))
             .member("wall_s", sum.seconds)
-            .member("cache_hits", sum.cache.hits)
-            .member("cache_misses", sum.cache.misses)
             .member("status", "ok");
       });
       obs::set_events(parent_log);
@@ -923,12 +900,10 @@ int batch(const std::map<std::string, std::string>& args) {
   std::printf("%s", core::format_batch_report(sharded.merged, topo).c_str());
   std::printf("shards: %zu\n", sharded.shards.size());
   const bool adaptive = config.assessment.regression.adaptive_sampling;
-  std::printf("shard  records  seconds  panel-cache hit/miss%s\n",
+  std::printf("shard  records  seconds%s\n",
               adaptive ? "  early-stops  iters-used/budget" : "");
   for (const auto& s : sharded.shards) {
-    std::printf("%5zu  %7zu  %7.2f  %llu/%llu", s.shard, s.records,
-                s.seconds, static_cast<unsigned long long>(s.cache.hits),
-                static_cast<unsigned long long>(s.cache.misses));
+    std::printf("%5zu  %7zu  %7.2f", s.shard, s.records, s.seconds);
     if (adaptive)
       std::printf("  %11zu  %llu/%llu", s.adaptive_stopped_early,
                   static_cast<unsigned long long>(s.adaptive_iterations_used),
@@ -1006,7 +981,6 @@ int monitor_cmd(const std::map<std::string, std::string>& args) {
   };
 
   apply_threads_flag(args);
-  apply_panel_cache_flag(args);
   apply_simd_flags(args);
 
   ObsSession obs_session("monitor", args);
@@ -1214,8 +1188,7 @@ bool print_shard_summaries(const std::string& run_dir) {
   }
   std::sort(shard_dirs.begin(), shard_dirs.end());
   if (shard_dirs.empty()) return false;
-  std::printf("shards:\n  dir        records  seconds  "
-              "panel-cache hit/miss\n");
+  std::printf("shards:\n  dir        records  seconds\n");
   for (const std::string& sd : shard_dirs) {
     std::ifstream ev(sd + "/events.jsonl");
     std::string line, last_end;
@@ -1229,11 +1202,9 @@ bool print_shard_summaries(const std::string& run_dir) {
     }
     const auto doc = obs::parse_json(last_end, nullptr);
     if (!doc) continue;
-    std::printf("  %-9s  %7.0f  %7.2f  %.0f/%.0f\n", label.c_str(),
+    std::printf("  %-9s  %7.0f  %7.2f\n", label.c_str(),
                 doc->member_number("records", 0),
-                doc->member_number("wall_s", 0),
-                doc->member_number("cache_hits", 0),
-                doc->member_number("cache_misses", 0));
+                doc->member_number("wall_s", 0));
   }
   return true;
 }
@@ -1257,7 +1228,7 @@ int profile_cmd(const std::string& target,
     }
     if (found.empty()) {
       // A sharded run dir is still summarizable without any trace: the
-      // shard-NN event streams carry records/wall/cache per shard.
+      // shard-NN event streams carry records and wall time per shard.
       std::printf("%s\n", run_dir.c_str());
       if (print_shard_summaries(run_dir)) return 0;
       throw std::runtime_error(
@@ -1303,7 +1274,7 @@ int profile_cmd(const std::string& target,
   }
 
   // A sharded run directory: summarize each shard-NN/ sub-run from its
-  // run_end event (records, wall, shard-local panel-cache outcome).
+  // run_end event (records, wall time).
   if (!run_dir.empty()) (void)print_shard_summaries(run_dir);
   return 0;
 }
@@ -1377,9 +1348,9 @@ int main(int argc, char** argv) {
     if (cmd == "assess" || cmd == "batch") {
       static const std::set<std::string> kSharedFlags = {
           "metrics-json",   "trace-json",     "threads",
-          "seed",           "events-jsonl",   "panel-cache-mb",
-          "snapshot-cache", "profile-json",   "profile-sample",
-          "simd",           "serve",          "ready-stale-ms",
+          "seed",           "events-jsonl",   "snapshot-cache",
+          "profile-json",   "profile-sample", "simd",
+          "serve",          "ready-stale-ms",
           "adaptive-sampling", "min-iterations", "stability-rounds"};
       std::set<std::string> valued = kSharedFlags;
       std::set<std::string> boolean = {"fast-math-kernels"};
@@ -1406,10 +1377,9 @@ int main(int argc, char** argv) {
           "step-hours",     "confirm",      "tick-ms",
           "linger-ms",      "metrics-json", "trace-json",
           "threads",        "seed",         "events-jsonl",
-          "panel-cache-mb", "snapshot-cache", "profile-json",
-          "profile-sample", "simd",         "serve",
-          "ready-stale-ms", "adaptive-sampling", "min-iterations",
-          "stability-rounds"};
+          "snapshot-cache", "profile-json", "profile-sample",
+          "simd",           "serve",        "ready-stale-ms",
+          "adaptive-sampling", "min-iterations", "stability-rounds"};
       static const std::set<std::string> kBoolean = {"fast-math-kernels"};
       std::map<std::string, std::string> args;
       if (const int rc = parse_flags(argc, argv, kValued, kBoolean, args);

@@ -1,13 +1,13 @@
 // Microbenchmarks for the batch-sweep hot-path kernels: the columnar
-// design-matrix fill, the blocked Gram panel build, the shared panel
-// cache, and the multi-element sweep those kernels compose into.
+// design-matrix fill, the blocked Gram panel build, and the multi-element
+// sweep those kernels compose into.
 //
 // Where bench_perf.cpp tracks whole-assessment latency, this family
-// isolates the layers the panel cache and columnar overhaul touch, so a
-// regression pinpoints which kernel moved. The on/off pair of
-// BM_MultiElementSweep is the acceptance measurement for the cache: same
-// work, same results (bit-identical — tests/litmus/panel_cache_test.cpp),
-// only the panel rebuilds are saved.
+// isolates the layers the per-call panel and columnar kernels touch, so a
+// regression pinpoints which kernel moved. BM_MultiElementSweep runs one
+// assessment call whose elements share one panel build
+// (tests/litmus/call_panel_test.cpp pins that the sharing is
+// bit-identical to per-element builds).
 //
 // Results go to BENCH_kernels.json (google-benchmark JSON with an embedded
 // manifest block) unless the caller passes --benchmark_out; gate with
@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "eval/group_sim.h"
+#include "litmus/assessor.h"
 #include "litmus/panel_cache.h"
-#include "litmus/spatial_regression.h"
 #include "obs/manifest.h"
 #include "parallel/pool.h"
 #include "tsmath/gram.h"
@@ -178,26 +178,10 @@ void BM_Placements(benchmark::State& state) {
 }
 BENCHMARK(BM_Placements)->Args({168, 0})->Args({168, 1});
 
-// Warm-cache path as the analyzer runs it: fingerprint the design, then
-// get_or_build on a cache that already holds the panel.
-void BM_PanelCacheHit(benchmark::State& state) {
-  const auto x =
-      fill_design(make_controls(static_cast<std::size_t>(state.range(0))));
-  core::PanelCache cache(64u << 20);
-  (void)cache.get_or_build(core::fingerprint_design(x),
-                           [&] { return ts::GramPanel::build(x); });
-  for (auto _ : state) {
-    auto panel = cache.get_or_build(core::fingerprint_design(x),
-                                    [&] { return ts::GramPanel::build(x); });
-    benchmark::DoNotOptimize(panel);
-  }
-  if (cache.stats().misses != 1) state.SkipWithError("cache did not stay warm");
-}
-BENCHMARK(BM_PanelCacheHit)->Arg(16)->Arg(64);
-
-// End-to-end multi-element sweep (8 elements sharing one 64-control
-// group), cache off (Arg 0) vs on (Arg 1). Items/s counts element
-// assessments; the ratio of the two rows is the cache speedup.
+// End-to-end multi-element sweep: one Assessor::assess_windows call over
+// 8 study elements sharing one 64-control group, so the call builds one
+// Gram panel and the other 7 elements reuse it. Items/s counts element
+// assessments.
 void BM_MultiElementSweep(benchmark::State& state) {
   eval::EpisodeSpec spec;
   spec.n_study = 8;
@@ -207,24 +191,27 @@ void BM_MultiElementSweep(benchmark::State& state) {
   spec.true_sigma = 1.5;
   spec.seed = 97;
   const auto episode = eval::simulate_episode(spec);
-  const core::RobustSpatialRegression alg;
+  const net::Topology topo;
+  const core::Assessor assessor(
+      topo, [](net::ElementId, kpi::KpiId, std::int64_t, std::size_t) {
+        return ts::TimeSeries();  // never called: windows are pre-fetched
+      });
+  const std::vector<net::ElementId> study(episode.study_windows.size());
 
-  core::PanelCache& cache = core::PanelCache::global();
-  const std::size_t prev_capacity = cache.capacity_bytes();
-  cache.set_capacity_bytes(state.range(0) != 0 ? (64u << 20) : 0);
-  cache.clear();
+  const auto before = core::PanelCache::global().stats();
   for (auto _ : state) {
-    for (const auto& w : episode.study_windows) {
-      auto out = alg.assess(w, kpi::KpiId::kVoiceRetainability);
-      benchmark::DoNotOptimize(out);
-    }
+    auto out = assessor.assess_windows(study, {}, episode.study_windows,
+                                       kpi::KpiId::kVoiceRetainability, 0);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(
       state.iterations() * episode.study_windows.size()));
-  cache.clear();
-  cache.set_capacity_bytes(prev_capacity);
+  const auto after = core::PanelCache::global().stats();
+  state.counters["panel_builds_per_call"] =
+      static_cast<double>(after.misses - before.misses) /
+      static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_MultiElementSweep)->Arg(0)->Arg(1);
+BENCHMARK(BM_MultiElementSweep);
 
 // Same manifest-embedding scheme as bench_perf.cpp: google-benchmark owns
 // the JSON writer, so provenance is spliced in afterwards for

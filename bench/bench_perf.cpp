@@ -106,10 +106,11 @@ void BM_LitmusAssess_GramVsQr(benchmark::State& state) {
 BENCHMARK(BM_LitmusAssess_GramVsQr)->Arg(0)->Arg(1);
 
 // Multi-element assessment: E study elements sharing one control group,
-// the FFA shape the panel cache accelerates (every element re-fits the
-// same before-window control panel). Reported as items/s where one item
-// is one element assessment; the cache stays warm across elements and
-// benchmark iterations.
+// the FFA shape (every element re-fits the same before-window control
+// panel). Reported as items/s where one item is one element assessment.
+// Each assess() builds its panel privately; bench_kernels'
+// BM_MultiElementSweep runs the same shape through one assess_windows
+// call, which shares it.
 void BM_LitmusAssess_MultiElement(benchmark::State& state) {
   eval::EpisodeSpec spec;
   spec.n_study = 8;

@@ -29,7 +29,7 @@
 // starts all-kMissing, the overlap with the stored column is one memcpy of
 // the stored bit patterns (NaN missing values included), and bins outside
 // the column stay kMissing. Everything downstream — copy_range_into, the
-// SIMD kernels, the panel cache — runs unchanged.
+// SIMD kernels, the Gram panels — runs unchanged.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "litmus/panel_cache.h"
 #include "obs/events.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -84,10 +85,13 @@ ChangeAssessment Assessor::assess_windows(
   a.study_group.assign(study.begin(), study.end());
   a.control_group.assign(control.begin(), control.end());
 
+  // The study elements share one control group, so their before-window
+  // designs usually match: the call's slot builds that panel once.
+  PanelSlot panel;
   std::vector<AnalysisOutcome> outcomes(windows.size());
   par::parallel_for(windows.size(), [&](std::size_t i) {
     obs::ScopedSpan element_span("assess.element");
-    outcomes[i] = algorithm_.assess(windows[i], kpi);
+    outcomes[i] = algorithm_.assess(windows[i], kpi, panel);
   });
   a.per_element.reserve(outcomes.size());
   for (std::size_t i = 0; i < outcomes.size(); ++i) {

@@ -72,6 +72,8 @@ class Assessor {
   /// As assess(), over pre-fetched windows (windows[i] belongs to
   /// study[i]). Never touches the SeriesProvider, so callers that batch
   /// window fetching may invoke this concurrently from worker threads.
+  /// Study elements whose before-window designs are bit-equal share one
+  /// Gram panel, built once per call (litmus/panel_cache.h).
   ChangeAssessment assess_windows(std::span<const net::ElementId> study,
                                   std::span<const net::ElementId> control,
                                   std::span<const ElementWindows> windows,

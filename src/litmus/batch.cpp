@@ -270,10 +270,6 @@ ShardedBatchReport assess_change_log_sharded(const chg::ChangeLog& log,
   ShardedBatchReport out;
   out.merged.items.resize(log.size());
   out.shards.reserve(plan.size());
-  // Each shard's private cache gets the same budget the process-wide cache
-  // runs with, so sharded and unsharded runs see comparable hit behavior
-  // (cache state never changes produced bits either way).
-  const std::size_t cache_budget = PanelCache::global().capacity_bytes();
 
   for (std::size_t s = 0; s < plan.size(); ++s) {
     if (cb.on_start) cb.on_start(s, plan[s].size());
@@ -283,11 +279,8 @@ ShardedBatchReport assess_change_log_sharded(const chg::ChangeLog& log,
     sum.records = plan[s].size();
     {
       obs::ScopedSpan shard_span(shard_span_name(s));
-      PanelCache shard_cache(cache_budget);
-      ScopedPanelCacheOverride override_cache(shard_cache);
       ctx.shard = static_cast<int>(s);
       assess_indices_into(ctx, plan[s], out.merged);
-      sum.cache = shard_cache.stats();
     }
     ctx.shard = -1;
     if (ctx.adaptive)

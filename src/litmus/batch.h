@@ -20,13 +20,12 @@
 //
 // Sharding. assess_change_log_sharded partitions records by
 // shard_of(element) — a pure function of the element id — and runs the
-// shards one after another, each with its own panel cache
-// (ScopedPanelCacheOverride) and a per-shard trace span. Per-record
+// shards one after another, each in a per-shard trace span. Per-record
 // assessment depends only on (record, topo, provider, config): the
 // sampling RNG is a counter-forked pure function of (seed, iteration),
-// cache state never changes produced bits, and tallies are recomputed in
-// record order at the end — so the merged report is bit-identical to the
-// unsharded assess_change_log, which tests/litmus/shard_test.cpp pins.
+// and tallies are recomputed in record order at the end — so the merged
+// report is bit-identical to the unsharded assess_change_log, which
+// tests/litmus/shard_test.cpp pins.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +36,6 @@
 
 #include "changelog/changelog.h"
 #include "litmus/assessor.h"
-#include "litmus/panel_cache.h"
 
 namespace litmus::core {
 
@@ -105,7 +103,6 @@ struct ShardSummary {
   std::size_t shard = 0;
   std::size_t records = 0;
   double seconds = 0.0;
-  PanelCache::Stats cache;  ///< the shard-local panel cache's final stats
   /// Adaptive-sampling stats for this shard's records (zero adaptive-off).
   /// Deterministic: re-running a shard reproduces the same iterations-used.
   std::size_t adaptive_stopped_early = 0;
@@ -128,7 +125,7 @@ struct ShardedBatchReport {
 };
 
 /// Runs the batch shard by shard (deterministic element partition,
-/// shard-local panel caches, per-shard spans + shard.* metrics), merging
+/// per-shard spans + shard.* metrics), merging
 /// verdicts back into record order. n_shards is clamped to >= 1.
 ShardedBatchReport assess_change_log_sharded(const chg::ChangeLog& log,
                                              const net::Topology& topo,

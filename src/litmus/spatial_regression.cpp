@@ -153,11 +153,24 @@ const char* to_string(StopReason r) noexcept {
 
 bool RobustSpatialRegression::forecast(const ElementWindows& w,
                                        Forecast& out) const {
-  return forecast(w, out, 0.0);
+  return run_forecast(w, out, 0.0, nullptr);
 }
 
 bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
                                        double effect_floor_kpi_units) const {
+  return run_forecast(w, out, effect_floor_kpi_units, nullptr);
+}
+
+bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
+                                       double effect_floor_kpi_units,
+                                       PanelSlot& slot) const {
+  return run_forecast(w, out, effect_floor_kpi_units, &slot);
+}
+
+bool RobustSpatialRegression::run_forecast(const ElementWindows& w,
+                                           Forecast& out,
+                                           double effect_floor_kpi_units,
+                                           PanelSlot* slot) const {
   const std::size_t n_controls = w.control_before.size();
   if (n_controls == 0 || w.control_after.size() != n_controls) return false;
   if (w.study_before.observed_count() < 8 ||
@@ -184,21 +197,21 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   // The O(m·N²) panel precompute only pays off when enough iterations
   // amortize it (GramPanel::worthwhile); below the crossover every
   // iteration just runs QR, exactly as with the fast path disabled. The
-  // decision deliberately ignores cache state (a hit would make the build
-  // free) so cached and uncached runs take identical code paths.
+  // decision deliberately ignores whether the call's slot already holds
+  // the panel (reuse would make the build free), so shared and private
+  // builds take identical code paths.
   const bool use_gram =
       params_.use_gram_fast_path &&
       ts::GramPanel::worthwhile(params_.n_iterations, k, x_before.cols());
-  PanelCache::PanelPtr panel;
+  ts::GramPanel own_panel;
   ts::GramSystem gram;
   if (use_gram) {
-    // Content-keyed: every study element regressing onto the same control
-    // columns over the same bins — across a multi-element assessment, a
-    // batch sweep, or monitor steps — shares one panel build.
-    panel = PanelCache::current().get_or_build(
-        fingerprint_design(x_before),
-        [&] { return ts::GramPanel::build(x_before); });
-    gram.bind(*panel, y, params_.with_intercept);
+    // Study elements of one call regressing onto the same control columns
+    // over the same bins share the call's panel (PanelSlot).
+    const ts::GramPanel& panel =
+        slot ? slot->get(x_before, own_panel)
+             : (own_panel = build_panel(x_before));
+    gram.bind(panel, y, params_.with_intercept);
   }
 
   // Iterations run in counter-ordered rounds. Adaptive-off the schedule is
@@ -593,6 +606,18 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
 
 AnalysisOutcome RobustSpatialRegression::assess(const ElementWindows& w,
                                                 kpi::KpiId kpi) const {
+  return run_assess(w, kpi, nullptr);
+}
+
+AnalysisOutcome RobustSpatialRegression::assess(const ElementWindows& w,
+                                                kpi::KpiId kpi,
+                                                PanelSlot& slot) const {
+  return run_assess(w, kpi, &slot);
+}
+
+AnalysisOutcome RobustSpatialRegression::run_assess(const ElementWindows& w,
+                                                    kpi::KpiId kpi,
+                                                    PanelSlot* slot) const {
   AnalysisOutcome out;
   out.explanation.analyzer = name().data();
   out.explanation.aggregation =
@@ -611,7 +636,7 @@ AnalysisOutcome RobustSpatialRegression::assess(const ElementWindows& w,
       params_.min_effect_sigma * kpi::info(kpi).typical_noise;
 
   Forecast fc;
-  const bool ok = forecast(w, fc, floor_kpi);
+  const bool ok = run_forecast(w, fc, floor_kpi, slot);
   out.explanation.iterations_used = fc.iterations_attempted;
   if (fc.iterations_attempted > 0)
     out.explanation.stop_reason = to_string(fc.stop_reason);

@@ -30,6 +30,8 @@
 
 namespace litmus::core {
 
+class PanelSlot;  // litmus/panel_cache.h
+
 /// Ablation knobs (bench_ablation sweeps these; production uses defaults).
 enum class ForecastAggregation : std::uint8_t {
   kMedian,  ///< the paper's choice: robust to contaminated iterations
@@ -108,6 +110,11 @@ class RobustSpatialRegression final : public ChangeAnalyzer {
 
   AnalysisOutcome assess(const ElementWindows& windows,
                          kpi::KpiId kpi) const override;
+  /// As assess(), taking the Gram panel from `slot`, the panel one
+  /// assessment call shares across its study elements (PanelSlot). The
+  /// outcome is bit-identical to assess(windows, kpi).
+  AnalysisOutcome assess(const ElementWindows& windows, kpi::KpiId kpi,
+                         PanelSlot& slot) const;
   std::string_view name() const noexcept override {
     return "litmus_spatial_regression";
   }
@@ -133,12 +140,21 @@ class RobustSpatialRegression final : public ChangeAnalyzer {
   /// inputs (no usable controls or too little data). The second overload
   /// supplies the materiality floor (min_effect_sigma * KPI noise) so the
   /// adaptive stability check can evaluate the *full* downstream verdict,
-  /// materiality included, at every checkpoint.
+  /// materiality included, at every checkpoint. Both build their Gram
+  /// panel privately; the third takes it from the call's `slot`.
   bool forecast(const ElementWindows& windows, Forecast& out) const;
   bool forecast(const ElementWindows& windows, Forecast& out,
                 double effect_floor_kpi_units) const;
+  bool forecast(const ElementWindows& windows, Forecast& out,
+                double effect_floor_kpi_units, PanelSlot& slot) const;
 
  private:
+  /// `slot` == nullptr builds the panel privately.
+  bool run_forecast(const ElementWindows& windows, Forecast& out,
+                    double effect_floor_kpi_units, PanelSlot* slot) const;
+  AnalysisOutcome run_assess(const ElementWindows& windows, kpi::KpiId kpi,
+                             PanelSlot* slot) const;
+
   SpatialRegressionParams params_;
 };
 

@@ -111,18 +111,23 @@ void compare_maps(std::vector<DiffLine>& out,
   std::set<std::string> keys;
   for (const auto& [k, _] : a) keys.insert(k);
   for (const auto& [k, _] : b) keys.insert(k);
+  // Non-gating deltas carry the same marker as manifest scalars, so they
+  // read apart from drift even without the [drift] prefix.
+  const std::string note = gating ? "" : " (informational)";
   for (const std::string& k : keys) {
     const auto ia = a.find(k);
     const auto ib = b.find(k);
     if (ia == a.end()) {
-      out.push_back({what + " " + k + ": only in B (" + ib->second + ")",
-                     gating});
+      out.push_back(
+          {what + " " + k + ": only in B (" + ib->second + ")" + note,
+           gating});
     } else if (ib == b.end()) {
-      out.push_back({what + " " + k + ": only in A (" + ia->second + ")",
-                     gating});
+      out.push_back(
+          {what + " " + k + ": only in A (" + ia->second + ")" + note,
+           gating});
     } else if (ia->second != ib->second) {
       out.push_back({what + " " + k + ": " + ia->second + " -> " +
-                         ib->second,
+                         ib->second + note,
                      gating});
     }
   }
@@ -290,8 +295,7 @@ RunDiffReport diff_runs(const RunData& a, const RunData& b,
   {
     // Flags that cannot change results are reported but never gate:
     // output destinations differ between any two runs by construction
-    // (each run writes its own directory), the panel-cache budget only
-    // trades rebuild time for memory (DESIGN.md §10), and the snapshot
+    // (each run writes its own directory), and the snapshot
     // cache plus the ingest.* source notes only change how the input was
     // *loaded* — a snapshot-loaded store is bit-identical to the parsed
     // one (DESIGN.md §11).
@@ -318,7 +322,9 @@ RunDiffReport diff_runs(const RunData& a, const RunData& b,
     // bit-identical windows and any shard count merges to the same
     // verdicts (DESIGN.md §15).
     // Window/iteration flags (--before-bins, --after-bins, --iterations)
-    // stay gating — they change what is computed.
+    // stay gating — they change what is computed. --panel-cache-mb no
+    // longer exists; it stays listed so manifests written before its
+    // removal still diff clean against newer ones.
     const auto informational = [](const std::string& k) {
       for (const char* name :
            {"--events-jsonl", "--metrics-json", "--trace-json",

@@ -75,14 +75,6 @@ GramPanel GramPanel::build(const Matrix& design) {
   return p;
 }
 
-std::size_t GramPanel::bytes() const noexcept {
-  return g_.capacity() * sizeof(double) + packed_.capacity() * sizeof(double) +
-         rows_.capacity() * sizeof(std::uint32_t) +
-         (col_missing_.capacity() + x_missing_.capacity()) *
-             sizeof(std::uint64_t) +
-         sizeof(GramPanel);
-}
-
 bool GramSystem::bind(const GramPanel& panel, std::span<const double> y,
                       bool with_intercept) {
   panel_ = &panel;
@@ -128,7 +120,7 @@ bool GramSystem::bind(const GramPanel& panel, std::span<const double> y,
     // y knocks rows out of the panel: re-gather the surviving rows and
     // re-accumulate an owned G over them with the same kernel (and the
     // same ascending row order) a fresh build over the joint rows would
-    // use, so a shared/cached panel yields bit-identical results.
+    // use, so a shared panel yields bit-identical results.
     reduced_packed.resize(n_rows_ * panel.n_cols_);
     for (std::size_t c = 0; c < panel.n_cols_; ++c) {
       const double* in = panel.packed_.data() + c * panel.n_rows_;

@@ -14,8 +14,8 @@
 // length m.
 //
 // The precompute is split in two so the expensive design-only half can be
-// shared (and cached — litmus/panel_cache.h) across study elements that
-// regress onto the same control panel:
+// shared across the study elements of one assessment that regress onto
+// the same control panel (litmus/panel_cache.h):
 //
 //   * GramPanel — design-only and immutable after build(): complete-case
 //     row set, per-column validity bitsets, the packed (gathered,
@@ -25,7 +25,7 @@
 //     joint missing-row bitset. When y is missing on some panel rows the
 //     bind re-accumulates a reduced G over the joint rows (same columnar
 //     kernel, same row order — results do not depend on whether the panel
-//     came from a cache).
+//     was shared).
 //
 // Exactness rule: ordinary fit_ols drops only the rows incomplete in the
 // *selected* columns, while G is accumulated over rows complete in *all*
@@ -69,9 +69,9 @@ class GramPanel {
   /// Dividing out m, the crossover is n_iterations·k² vs N²/2; below it
   /// (large control group, few iterations, or k clamped far below N by a
   /// short window) the precompute costs more than the QR loop it removes,
-  /// so callers should skip build() and fit with QR directly. (A panel
-  /// cache hit makes the build free, but the decision must not depend on
-  /// cache state or cached and uncached runs could diverge.)
+  /// so callers should skip build() and fit with QR directly. (Reusing a
+  /// shared panel makes the build free, but the decision must not depend
+  /// on whether one exists or shared and private runs could diverge.)
   static bool worthwhile(std::size_t n_iterations, std::size_t k,
                          std::size_t n_cols) noexcept {
     return n_iterations * k * k >= n_cols * n_cols / 2;
@@ -86,9 +86,6 @@ class GramPanel {
   std::size_t cols() const noexcept { return n_cols_; }
   /// Rows of the design the panel was built from.
   std::size_t design_rows() const noexcept { return m_; }
-
-  /// Heap bytes held (cache budget accounting).
-  std::size_t bytes() const noexcept;
 
  private:
   friend class GramSystem;

@@ -131,7 +131,8 @@ TEST_F(RunDiffTest, ThreadCountDeltaIsInformationalOnly) {
 
 TEST_F(RunDiffTest, ThreadsConfigFlagIsInformationalOnly) {
   // litmus_cli records --threads in the resolved config as well as in the
-  // manifest's threads field; neither may gate.
+  // manifest's threads field; neither may gate, and the config line says
+  // so in its text, not only by lacking the [drift] prefix.
   const std::string a = make_run("a", 42, /*threads=*/1);
   const std::string b = make_run("b", 42, /*threads=*/4);
   for (const auto& [dir, n] : {std::pair{a, "1"}, std::pair{b, "4"}}) {
@@ -154,6 +155,7 @@ TEST_F(RunDiffTest, ThreadsConfigFlagIsInformationalOnly) {
     if (line.text.find("config --threads: 1 -> 4") != std::string::npos) {
       mentioned = true;
       EXPECT_FALSE(line.gating);
+      EXPECT_EQ(line.text, "config --threads: 1 -> 4 (informational)");
     }
   EXPECT_TRUE(mentioned) << format_run_diff(report, ra, rb);
 }

@@ -18,7 +18,7 @@ Usage:
 
 --key/--calibration select which benchmark pair to gate, so the same script
 guards BENCH_perf.json (default pair) and BENCH_kernels.json (e.g.
---key BM_MultiElementSweep/1 --calibration BM_GramBuildCold/64).
+--key BM_MultiElementSweep --calibration BM_GramBuildCold/64).
 
 A second mode gates an *absolute* speedup within one run — machine-
 independent because both rows come from the same process:
